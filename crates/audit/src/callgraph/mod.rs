@@ -60,17 +60,23 @@ pub struct CallGraph {
 pub type EntryPoint = (&'static str, &'static str);
 
 /// The replay entry points every panic/determinism reachability pass
-/// starts from. These are the public mouths of the replay machinery;
-/// anything transitively callable from them runs inside sweeps that may
-/// be hours long.
+/// starts from: the replay kernel, the session terminals that drive it,
+/// and the per-query engine the mediator serves through. Anything
+/// transitively callable from them runs inside sweeps that may be hours
+/// long. An entry that matches no function is a usage error (see
+/// [`CallGraph::unmatched_entries`]), so renaming a mouth cannot shrink
+/// coverage silently.
 pub const REPLAY_ENTRY_POINTS: &[EntryPoint] = &[
-    ("CompiledTrace", "replay_report"),
-    ("CompiledTrace", "replay_observed"),
+    KERNEL_ENTRY,
     ("ReplaySession", "run"),
     ("ReplaySession", "sweep"),
     ("ReplayEngine", "replay"),
     ("ReplayEngine", "serve_query"),
 ];
+
+/// The replay kernel: the one loop every session replay runs, and the
+/// root of the summary's panic-site count.
+pub const KERNEL_ENTRY: EntryPoint = ("CompiledChunk", "replay");
 
 /// Per-file inputs the builder needs beyond the parse.
 pub struct GraphFile<'a> {
@@ -200,6 +206,15 @@ impl CallGraph {
         CallGraph { nodes }
     }
 
+    /// The entries of `entries` that match no function in the graph.
+    pub fn unmatched_entries(&self, entries: &[EntryPoint]) -> Vec<EntryPoint> {
+        entries
+            .iter()
+            .filter(|entry| self.entry_nodes(std::slice::from_ref(*entry)).is_empty())
+            .copied()
+            .collect()
+    }
+
     /// Node indexes matching `(qualifier, name)` entry points.
     pub fn entry_nodes(&self, entries: &[EntryPoint]) -> Vec<usize> {
         self.nodes
@@ -238,7 +253,7 @@ impl CallGraph {
     }
 
     /// The shortest call chain from a root to `node`, as display names
-    /// (`CompiledTrace::replay_report → … → DenseMap::get`).
+    /// (`CompiledChunk::replay → … → DenseMap::get`).
     pub fn chain_to(&self, pred: &[Option<usize>], node: usize) -> String {
         let mut path = vec![node];
         let mut cur = node;
@@ -399,10 +414,10 @@ mod tests {
     #[test]
     fn reachability_and_chain() {
         let g = graph(&[(
-            "crates/federation/src/compiled.rs",
+            "crates/federation/src/stream.rs",
             "federation",
-            "struct CompiledTrace;\n\
-             impl CompiledTrace { pub fn replay_report(&self) { step(); } }\n\
+            "struct CompiledChunk;\n\
+             impl CompiledChunk { pub fn replay(&self) { step(); } }\n\
              fn step() { deep(); }\n\
              fn deep() {}\n\
              fn unrelated() {}",
@@ -414,7 +429,22 @@ mod tests {
         assert!(pred[deep].is_some());
         assert!(pred[idx(&g, None, "unrelated")].is_none());
         let chain = g.chain_to(&pred, deep);
-        assert_eq!(chain, "CompiledTrace::replay_report → step → deep");
+        assert_eq!(chain, "CompiledChunk::replay → step → deep");
+    }
+
+    #[test]
+    fn unmatched_entry_points_are_reported() {
+        let g = graph(&[(
+            "crates/federation/src/session.rs",
+            "federation",
+            "struct ReplaySession;\n\
+             impl ReplaySession { pub fn run(self) {} }\n\
+             fn sweep() {}",
+        )]);
+        let missing = g.unmatched_entries(&[("ReplaySession", "run"), ("ReplaySession", "sweep")]);
+        // A free `sweep` is not `ReplaySession::sweep`.
+        assert_eq!(missing, vec![("ReplaySession", "sweep")]);
+        assert!(g.unmatched_entries(&[("ReplaySession", "run")]).is_empty());
     }
 
     #[test]

@@ -62,13 +62,65 @@ pub struct LintOutcome {
 ///
 /// # Errors
 ///
-/// An I/O or allowlist-syntax error as a human-readable message.
+/// An I/O or allowlist-syntax error as a human-readable message, or a
+/// replay entry point that matches no function in the workspace.
 pub fn lint_workspace(root: &Path, allowlist: &Path) -> Result<LintOutcome, String> {
     let config = config::Allowlist::load(allowlist)?;
     let files = source::scan_workspace(root)?;
     let analysis = passes::analyze(files);
+    if !analysis.missing_entries.is_empty() {
+        return Err(format!(
+            "replay entry point(s) {} match no function in the workspace; \
+             update REPLAY_ENTRY_POINTS (crates/audit/src/callgraph/mod.rs) \
+             to the renamed replay mouths",
+            analysis.missing_entries.join(", ")
+        ));
+    }
     Ok(LintOutcome {
         findings: report::apply_allowlist(analysis.findings, &config),
         summary: analysis.summary,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A throwaway workspace holding one federation source file.
+    fn workspace(tag: &str, src: &str) -> std::path::PathBuf {
+        let root = std::env::temp_dir().join(format!("byc-audit-{tag}-{}", std::process::id()));
+        let dir = root.join("crates/federation/src");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("lib.rs"), src).unwrap();
+        root
+    }
+
+    const MOUTHS: &str = "pub struct CompiledChunk;\n\
+        impl CompiledChunk { pub fn replay(&self) {} }\n\
+        pub struct ReplayEngine;\n\
+        impl ReplayEngine { pub fn replay(&self) {} pub fn serve_query(&self) {} }\n";
+
+    #[test]
+    fn unmatched_entry_point_is_a_usage_error() {
+        // `ReplaySession::run`/`sweep` are missing: the lint must refuse
+        // rather than report a clean tree with shrunken coverage.
+        let root = workspace("missing-entry", MOUTHS);
+        let err = match lint_workspace(&root, &root.join("audit.toml")) {
+            Ok(_) => panic!("a missing replay entry point must be an error"),
+            Err(e) => e,
+        };
+        assert!(err.contains("ReplaySession::run"), "{err}");
+        assert!(err.contains("ReplaySession::sweep"), "{err}");
+        assert!(err.contains("match no function"), "{err}");
+
+        let complete = format!(
+            "{MOUTHS}pub struct ReplaySession;\n\
+             impl ReplaySession {{ pub fn run(self) {{}} pub fn sweep(self) {{}} }}\n"
+        );
+        let root_ok = workspace("all-entries", &complete);
+        let outcome = lint_workspace(&root_ok, &root_ok.join("audit.toml"));
+        assert!(outcome.is_ok(), "{:?}", outcome.err());
+        std::fs::remove_dir_all(&root).ok();
+        std::fs::remove_dir_all(&root_ok).ok();
+    }
 }

@@ -21,7 +21,8 @@ Runs the workspace static-analysis passes (see crates/audit/src/passes/):
 --format text   human-readable findings + summary (default)
 --format sarif  SARIF 2.1.0 log on stdout (or --output FILE)
 
-Exit status: 0 clean, 1 findings, 2 usage or I/O error.
+Exit status: 0 clean, 1 findings, 2 usage or I/O error (including a
+replay entry point that matches no function in the workspace).
 Tolerated findings are declared in audit.toml at the workspace root;
 entries are exact counts, so fixing a finding without shrinking its
 entry also fails (stale-allowlist).";
@@ -122,8 +123,8 @@ fn main() -> ExitCode {
     }
     println!(
         "byc-audit: {} files, {} functions, {} call edges, {} reachable from replay entries; \
-         {} panic site(s) under CompiledTrace::replay_report",
-        s.files, s.functions, s.edges, s.reachable, s.replay_report_sites
+         {} panic site(s) under the replay kernel CompiledChunk::replay",
+        s.files, s.functions, s.edges, s.reachable, s.kernel_sites
     );
     if outcome.findings.is_empty() {
         println!("byc-audit: clean");

@@ -70,9 +70,9 @@ pub struct Summary {
     /// Functions reachable from any replay entry point.
     pub reachable: usize,
     /// Panic sites (all kinds, pre-allowlist) in functions reachable
-    /// from `CompiledTrace::replay_report` specifically — the number
-    /// the acceptance gate drives to zero-or-justified.
-    pub replay_report_sites: usize,
+    /// from the replay kernel (`CompiledChunk::replay`) specifically —
+    /// the number the acceptance gate drives to zero-or-justified.
+    pub kernel_sites: usize,
 }
 
 /// Findings plus summary.
@@ -81,6 +81,10 @@ pub struct Analysis {
     pub findings: Vec<Finding>,
     /// Headline numbers.
     pub summary: Summary,
+    /// Replay entry points (`Qualifier::name`) that match no function.
+    /// A full-workspace lint refuses to run with any: their reach would
+    /// silently drop out of the panic and determinism passes.
+    pub missing_entries: Vec<String>,
 }
 
 /// Parse every file and run all passes.
@@ -167,7 +171,17 @@ pub fn analyze(sources: Vec<SourceFile>) -> Analysis {
         functions: workspace.graph.nodes.len(),
         edges: workspace.graph.nodes.iter().map(|n| n.callees.len()).sum(),
         reachable: pred.iter().filter(|p| p.is_some()).count(),
-        replay_report_sites: panic.replay_report_sites,
+        kernel_sites: panic.kernel_sites,
     };
-    Analysis { findings, summary }
+    let missing_entries = workspace
+        .graph
+        .unmatched_entries(REPLAY_ENTRY_POINTS)
+        .into_iter()
+        .map(|(qualifier, name)| format!("{qualifier}::{name}"))
+        .collect();
+    Analysis {
+        findings,
+        summary,
+        missing_entries,
+    }
 }

@@ -5,8 +5,8 @@
 //! no-panic crates; this pass is the stronger, path-sensitive gate. It
 //! additionally covers constructs too noisy for a blanket ban —
 //! indexing, division, `assert!`/`unreachable!` — but only where they
-//! matter: in functions transitively callable from
-//! `CompiledTrace::replay_report` and the other replay mouths, where a
+//! matter: in functions transitively callable from the replay kernel
+//! (`CompiledChunk::replay`) and the other replay mouths, where a
 //! panic aborts a sweep that may have been running for hours. Every
 //! finding carries the shortest call chain from an entry point, so the
 //! fix site is obvious.
@@ -14,7 +14,7 @@
 use super::style::{is_own_expect, self_expect_qualifiers};
 use super::Workspace;
 use crate::ast::scan::{panic_sites_in, PanicKind};
-use crate::callgraph::REPLAY_ENTRY_POINTS;
+use crate::callgraph::{KERNEL_ENTRY, REPLAY_ENTRY_POINTS};
 use crate::report::Finding;
 use crate::source::FileKind;
 
@@ -22,9 +22,9 @@ use crate::source::FileKind;
 pub struct Outcome {
     /// The findings.
     pub findings: Vec<Finding>,
-    /// Panic sites (all kinds) in functions reachable from
-    /// `CompiledTrace::replay_report` specifically.
-    pub replay_report_sites: usize,
+    /// Panic sites (all kinds) in functions reachable from the replay
+    /// kernel (`CompiledChunk::replay`) specifically.
+    pub kernel_sites: usize,
 }
 
 /// Truncate `what` for messages (index expressions can be long).
@@ -42,11 +42,11 @@ pub fn run(ws: &Workspace) -> Outcome {
     let own_expect = self_expect_qualifiers(ws);
     let roots = ws.graph.entry_nodes(REPLAY_ENTRY_POINTS);
     let pred = ws.graph.reachable_from(&roots);
-    let report_roots = ws.graph.entry_nodes(&[("CompiledTrace", "replay_report")]);
-    let report_pred = ws.graph.reachable_from(&report_roots);
+    let kernel_roots = ws.graph.entry_nodes(&[KERNEL_ENTRY]);
+    let kernel_pred = ws.graph.reachable_from(&kernel_roots);
 
     let mut findings = Vec::new();
-    let mut replay_report_sites = 0usize;
+    let mut kernel_sites = 0usize;
     for (i, node) in ws.graph.nodes.iter().enumerate() {
         if pred[i].is_none() {
             continue;
@@ -76,8 +76,8 @@ pub fn run(ws: &Workspace) -> Outcome {
                     "division/remainder (panics on zero divisor)",
                 ),
             };
-            if report_pred[i].is_some() {
-                replay_report_sites += 1;
+            if kernel_pred[i].is_some() {
+                kernel_sites += 1;
             }
             findings.push(Finding::spanned(
                 rule,
@@ -94,7 +94,7 @@ pub fn run(ws: &Workspace) -> Outcome {
     }
     Outcome {
         findings,
-        replay_report_sites,
+        kernel_sites,
     }
 }
 
@@ -120,8 +120,8 @@ mod tests {
         let trace = file(
             "federation",
             "crates/federation/src/compiled.rs",
-            "pub struct CompiledTrace;\n\
-             impl CompiledTrace { pub fn replay_report(&self) { step(); } }\n\
+            "pub struct CompiledChunk;\n\
+             impl CompiledChunk { pub fn replay(&self) { step(); } }\n\
              fn step() { helper(); }",
         );
         let helper = file(
@@ -137,9 +137,9 @@ mod tests {
             .collect();
         assert_eq!(reach.len(), 2, "{f:?}");
         assert!(reach.iter().any(|f| f.rule == "panic-reach-index"));
-        assert!(reach.iter().all(|f| f
-            .message
-            .contains("CompiledTrace::replay_report → step → helper")));
+        assert!(reach
+            .iter()
+            .all(|f| f.message.contains("CompiledChunk::replay → step → helper")));
         assert!(
             !f.iter().any(|f| f.message.contains("unrelated")),
             "unreachable fn not flagged"

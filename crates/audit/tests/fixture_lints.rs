@@ -174,7 +174,7 @@ fn bad_fixture_spans_are_exact() {
     assert_eq!(index.line, 14);
     assert!(index.message.contains("replay path"), "{}", index.message);
     assert!(
-        index.message.contains("CompiledTrace::replay_report"),
+        index.message.contains("CompiledChunk::replay"),
         "chain names the entry point: {}",
         index.message
     );
@@ -197,9 +197,9 @@ fn bad_fixture_spans_are_exact() {
 #[test]
 fn bad_fixture_counts_replay_report_sites() {
     let analysis = bad_workspace();
-    // slots[i], .expect("non-empty"), and 100 / d all sit under
-    // CompiledTrace::replay_report.
-    assert_eq!(analysis.summary.replay_report_sites, 3);
+    // slots[i], .expect("non-empty"), and 100 / d all sit under the
+    // replay kernel, CompiledChunk::replay.
+    assert_eq!(analysis.summary.kernel_sites, 3);
 }
 
 #[test]
@@ -210,7 +210,7 @@ fn clean_fixtures_produce_zero_findings() {
         "clean fixtures must not fire: {:#?}",
         analysis.findings
     );
-    assert_eq!(analysis.summary.replay_report_sites, 0);
+    assert_eq!(analysis.summary.kernel_sites, 0);
 }
 
 #[test]
@@ -221,7 +221,7 @@ fn missing_assert_file_is_one_finding_for_all_types() {
         .iter()
         .find(|f| f.rule == "send-sync-assert")
         .expect("send-sync-assert finding");
-    // CacheState (always-shared) and CompiledTrace (always-shared) are
+    // CacheState (always-shared) and CompiledChunk (always-shared) are
     // defined; LonePolicy implements no shared trait.
     assert!(f.message.contains("2 shareable type(s)"), "{}", f.message);
 }

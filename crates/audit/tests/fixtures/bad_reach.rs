@@ -1,12 +1,12 @@
 //! Known-bad fixture: panic sites reachable from the compiled-replay
-//! entry point through a two-hop call chain.
+//! entry point (the replay kernel) through a two-hop call chain.
 
-pub struct CompiledTrace {
+pub struct CompiledChunk {
     slots: Vec<u64>,
 }
 
-impl CompiledTrace {
-    pub fn replay_report(&self) -> u64 {
+impl CompiledChunk {
+    pub fn replay(&self) -> u64 {
         self.step(0)
     }
 

@@ -1,22 +1,26 @@
-//! Throughput of the compiled replay hot path versus the reference
-//! uncompiled engine.
+//! Throughput of the compiled replay kernel versus the uncompiled
+//! engine.
 //!
 //! Three configurations per policy over the same DR1-style trace:
 //!
-//! * `reference` — the uncompiled engine path (`ReplaySession::run`,
-//!   unaudited): catalog resolution and network pricing per access, per
-//!   replay, with observer dispatch.
-//! * `compiled_oneshot` — `.compiled().run()`: compilation is paid
-//!   inside the measured iteration, then the allocation-free fast path
-//!   replays. The break-even view for a single replay.
-//! * `compiled_amortized` — compile once outside the loop, then
-//!   `CompiledTrace::replay_report` per iteration: the sweep's view,
-//!   where one compilation serves the whole (policy × fraction) grid.
-//!   This is the headline number (target: ≥ 1.5× over `reference`).
+//! * `reference` — the uncompiled engine (`ReplayEngine::replay` into a
+//!   `CostObserver`): catalog resolution and network pricing per
+//!   access, per replay, with observer dispatch.
+//! * `compiled_oneshot` — `ReplaySession::compiled().run()`: the whole
+//!   trace is compiled inside the measured iteration, then the kernel
+//!   replays it into the report sink. The break-even view for a single
+//!   replay.
+//! * `compiled_amortized` — `CompiledTrace::compile` once outside the
+//!   loop, then `ReplaySession::precompiled(..).run()` per iteration:
+//!   the sweep's view, where one compilation serves the whole
+//!   (policy × fraction) grid. This is the headline number (target:
+//!   ≥ 1.5× over `reference`).
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_federation::{build_policy, CompiledTrace, PolicyKind, ReplaySession, Uniform};
+use byc_federation::{
+    build_policy, CompiledTrace, CostObserver, PolicyKind, ReplayEngine, ReplaySession, Uniform,
+};
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -43,13 +47,9 @@ fn bench_compiled_replay(c: &mut Criterion) {
             |b, &kind| {
                 b.iter(|| {
                     let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                    ReplaySession::new(&trace, &objects)
-                        .policy(policy.as_mut())
-                        .unaudited()
-                        .run()
-                        .unwrap()
-                        .report
-                        .total_cost()
+                    let mut cost = CostObserver::new(policy.name(), &trace.name, "column");
+                    ReplayEngine::new(&objects).replay(&trace, policy.as_mut(), &mut [&mut cost]);
+                    cost.into_report().total_cost()
                 })
             },
         );
@@ -76,7 +76,14 @@ fn bench_compiled_replay(c: &mut Criterion) {
             |b, &kind| {
                 b.iter(|| {
                     let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                    compiled.replay_report(policy.as_mut(), None).total_cost()
+                    ReplaySession::new(&trace, &objects)
+                        .policy(policy.as_mut())
+                        .precompiled(&compiled)
+                        .unaudited()
+                        .run()
+                        .unwrap()
+                        .report
+                        .total_cost()
                 })
             },
         );

@@ -2,12 +2,12 @@
 //!
 //! Four configurations over the same trace and policies:
 //!
-//! * **bare** — no fault layer at all, the exact pre-fault engine path;
+//! * **bare** — no fault layer at all, the fault-free kernel path;
 //! * **no_faults** — the [`NoFaults`] model attached: every transfer
 //!   resolves through the `FaultPlan` seam but always delivers at
-//!   nominal cost. Its report is bit-identical to bare, and its time
-//!   budget is within benchmark noise of bare — the fault layer must be
-//!   free when unused;
+//!   nominal cost. Its report is bit-identical to bare; its time over
+//!   bare is the per-slice event the kernel builds for any faulted
+//!   replay, which bare settles in place (DESIGN.md §12);
 //! * **outage** — scheduled downtime windows with a 3-attempt retry
 //!   budget, the deterministic fault configuration;
 //! * **flaky** — seeded per-attempt failures and cost spikes, the

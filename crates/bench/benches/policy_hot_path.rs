@@ -1,8 +1,9 @@
 //! Per-policy decision-path cost: lazy incremental planning (the
 //! shipping configuration) versus the scan-based reference planner.
 //!
-//! Both sides replay the same compiled DR1-style trace through
-//! [`CompiledTrace::replay_report`], so the engine cost is identical
+//! Both sides replay the same compiled DR1-style trace through the
+//! kernel's report sink (`ReplaySession::precompiled`), so the engine
+//! cost is identical
 //! and the difference isolates the policy hot path: lazy-deletion
 //! utility heaps plus reusable eviction scratch against the eager
 //! full-container rescans they replaced (DESIGN.md §18). The reference
@@ -16,7 +17,27 @@
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_federation::{build_policy, CompiledTrace, PolicyKind, Uniform};
+use byc_core::policy::CachePolicy;
+use byc_federation::{build_policy, CompiledTrace, PolicyKind, ReplaySession, Uniform};
+use byc_types::Bytes;
+use byc_workload::Trace;
+
+/// One replay of the shared arena into the report sink.
+fn replay(
+    trace: &Trace,
+    objects: &ObjectCatalog,
+    compiled: &CompiledTrace,
+    policy: &mut dyn CachePolicy,
+) -> Bytes {
+    ReplaySession::new(trace, objects)
+        .policy(policy)
+        .precompiled(compiled)
+        .unaudited()
+        .run()
+        .unwrap()
+        .report
+        .total_cost()
+}
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -59,7 +80,7 @@ fn bench_policy_hot_path(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lazy", kind.label()), &kind, |b, &kind| {
             b.iter(|| {
                 let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                compiled.replay_report(policy.as_mut(), None).total_cost()
+                replay(&trace, &objects, &compiled, policy.as_mut())
             })
         });
         group.bench_with_input(
@@ -69,7 +90,7 @@ fn bench_policy_hot_path(c: &mut Criterion) {
                 b.iter(|| {
                     let mut policy = build_policy(kind, capacity, &stats.demands, 29);
                     policy.debug_reference_planning(true);
-                    compiled.replay_report(policy.as_mut(), None).total_cost()
+                    replay(&trace, &objects, &compiled, policy.as_mut())
                 })
             },
         );

@@ -1,12 +1,11 @@
-//! Throughput of the streamed and sharded replay paths versus the
-//! in-memory reference.
+//! Throughput of the sharded replay fan-out versus the unsharded
+//! kernel.
 //!
-//! Four configurations per policy over the same DR1-style trace:
+//! Configurations per policy over the same DR1-style trace:
 //!
-//! * `reference` — the in-memory engine path (`ReplaySession::run`,
-//!   unaudited), the baseline every other row is normalized against.
-//! * `streamed` — the chunked out-of-core kernel over the same
-//!   in-memory trace: what chunking alone costs.
+//! * `reference` — the unsharded kernel (`ReplaySession::run`,
+//!   unaudited, default 4096-query chunks), the baseline every other
+//!   row is normalized against.
 //! * `sharded/N` — the object-sharded parallel path at N ∈ {1, 2, 4}
 //!   shards: one policy instance and worker thread per object-id
 //!   range, per-shard windows merged deterministically. `sharded/1`
@@ -54,23 +53,6 @@ fn bench_sharded_replay(c: &mut Criterion) {
                     let mut policy = build_policy(kind, capacity, &stats.demands, 29);
                     ReplaySession::new(&trace, &objects)
                         .policy(policy.as_mut())
-                        .unaudited()
-                        .run()
-                        .unwrap()
-                        .report
-                        .total_cost()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("streamed", kind.label()),
-            &kind,
-            |b, &kind| {
-                b.iter(|| {
-                    let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                    ReplaySession::new(&trace, &objects)
-                        .policy(policy.as_mut())
-                        .streaming()
                         .unaudited()
                         .run()
                         .unwrap()

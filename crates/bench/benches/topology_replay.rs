@@ -1,17 +1,18 @@
-//! Throughput of the compiled tiered-replay path as the hierarchy
-//! deepens: flat (one tier — the degenerate case the proptests pin to
-//! the legacy flat kernel) vs two-tier vs three-tier.
+//! Throughput of the replay kernel as the hierarchy deepens: flat (one
+//! tier — the degenerate case the proptests pin to the flat oracle) vs
+//! two-tier vs three-tier.
 //!
 //! Two configurations per topology over the same DR1-style trace:
 //!
 //! * `compiled_oneshot` — `.topology(..).compiled().run()`: topology
 //!   compilation paid inside the measured iteration.
-//! * `compiled_amortized` — `CompiledTopology::compile` once outside
-//!   the loop, then `replay_report` per iteration: the sweep's view.
-//!   The flat row here is directly comparable to `compiled_replay`'s
-//!   `compiled_amortized` row (same trace, same seed, same policy);
-//!   the two-/three-tier rows price what a deeper hierarchy costs —
-//!   per consulted tier, one extra policy call and one table lookup.
+//! * `compiled_amortized` — `ChunkCompiler::tiered(..).compile(..)`
+//!   once outside the loop, then `.precompiled(..).run()` per
+//!   iteration: the sweep's view. The flat row here is directly
+//!   comparable to `compiled_replay`'s `compiled_amortized` row (same
+//!   trace, same seed, same policy); the two-/three-tier rows price
+//!   what a deeper hierarchy costs — per consulted tier, one extra
+//!   policy call and one table lookup.
 //!
 //! Rate-Profile is the measured policy because it actually exercises
 //! the hierarchy: in-line policies never bypass, so they pin the walk
@@ -19,9 +20,7 @@
 
 use byc_catalog::sdss::{build, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_federation::{
-    build_policy, CompiledTopology, PolicyKind, ReplaySession, TierState, Topology, Uniform,
-};
+use byc_federation::{build_policy, ChunkCompiler, PolicyKind, ReplaySession, Topology, Uniform};
 use byc_workload::{generate, WorkloadConfig, WorkloadStats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -68,22 +67,20 @@ fn bench_topology_replay(c: &mut Criterion) {
                 session.run().unwrap().report.total_cost()
             })
         });
-        let compiled = CompiledTopology::compile(&trace, &objects, &topology);
+        let compiled = ChunkCompiler::tiered(&objects, &topology).compile(&trace.queries);
         group.bench_function(
             BenchmarkId::new("compiled_amortized", topology.name()),
             |b| {
                 b.iter(|| {
                     let mut policies = tier_policies();
-                    let mut tiers: Vec<TierState<'_>> = topology
-                        .tiers()
-                        .iter()
-                        .zip(&mut policies)
-                        .map(|(spec, policy)| TierState {
-                            name: &spec.name,
-                            policy: policy.as_mut(),
-                        })
-                        .collect();
-                    compiled.replay_report(&mut tiers, None).total_cost()
+                    let mut session = ReplaySession::new(&trace, &objects)
+                        .topology(&topology)
+                        .precompiled(&compiled)
+                        .unaudited();
+                    for policy in &mut policies {
+                        session = session.tier_policy(policy.as_mut());
+                    }
+                    session.run().unwrap().report.total_cost()
                 })
             },
         );

@@ -78,8 +78,6 @@ pub enum Command {
         fault_seed: Option<u64>,
         /// Degradation fallback when retries are exhausted ("stale"/"fail").
         degrade: String,
-        /// Replay through the compiled trace fast path.
-        compiled: bool,
         /// Write the replay's deterministic span tree as Chrome
         /// trace-event JSON here (None = no span trace).
         trace_spans: Option<PathBuf>,
@@ -90,11 +88,6 @@ pub enum Command {
         /// cost events per tier and dump postmortems on failed or
         /// degraded queries (None = off).
         flight_recorder: Option<usize>,
-        /// Replay out-of-core: stream the trace in chunks instead of
-        /// materializing it (file traces never load into memory).
-        streaming: bool,
-        /// Queries per streamed chunk (None = the session default).
-        chunk_size: Option<usize>,
         /// Shard the policy over N object-id ranges and replay the
         /// shards on parallel workers (None = unsharded).
         shards: Option<usize>,
@@ -131,8 +124,6 @@ pub enum Command {
         fault_seed: Option<u64>,
         /// Degradation fallback when retries are exhausted ("stale"/"fail").
         degrade: String,
-        /// Compile the trace once and share it across every sweep point.
-        compiled: bool,
         /// Write every sweep job's span tree into one Chrome trace-event
         /// file, one thread lane per job (None = no span trace).
         trace_spans: Option<PathBuf>,
@@ -410,26 +401,37 @@ fn load_trace(
             // the trace's release, so default to EDR at the caller's scale.
             let trace = trace_io::read_trace(std::path::Path::new(spec))?;
             let catalog = sdss::build(SdssRelease::Edr, scale, servers);
-            // Guard against replaying a trace against a catalog at the
-            // wrong scale (yields would be mispriced by that factor).
-            if !trace.is_empty() {
-                let mean_yield = trace.sequence_cost().as_f64() / trace.len() as f64;
-                let db = catalog.database_size().as_f64();
-                // Matched scales put this ratio around 1e-5..1e-3 for
-                // SDSS-like workloads (mean yield is a tiny, scale-free
-                // fraction of the database); a >100x departure means the
-                // scales disagree.
-                let ratio = mean_yield / db;
-                if !(1e-7..=1e-2).contains(&ratio) {
-                    return Err(Error::InvalidConfig(format!(
-                        "trace {spec:?} looks generated at a different catalog scale                          (mean yield {:.3e} bytes vs database {:.3e} bytes);                          pass the --scale used at gen-trace time",
-                        mean_yield, db
-                    )));
-                }
-            }
+            check_scale(spec, trace.sequence_cost(), trace.len(), &catalog)?;
             Ok((catalog, trace))
         }
     }
+}
+
+/// Guard against replaying a trace against a catalog at the wrong scale
+/// (yields would be mispriced by that factor): `demand` is the trace's
+/// total yield over `queries` queries.
+fn check_scale(
+    spec: &str,
+    demand: byc_types::Bytes,
+    queries: usize,
+    catalog: &byc_catalog::Catalog,
+) -> Result<()> {
+    if queries == 0 {
+        return Ok(());
+    }
+    let mean_yield = demand.as_f64() / queries as f64;
+    let db = catalog.database_size().as_f64();
+    // Matched scales put this ratio around 1e-5..1e-3 for SDSS-like
+    // workloads (mean yield is a tiny, scale-free fraction of the
+    // database); a >100x departure means the scales disagree.
+    let ratio = mean_yield / db;
+    if !(1e-7..=1e-2).contains(&ratio) {
+        return Err(Error::InvalidConfig(format!(
+            "trace {spec:?} looks generated at a different catalog scale                          (mean yield {:.3e} bytes vs database {:.3e} bytes);                          pass the --scale used at gen-trace time",
+            mean_yield, db
+        )));
+    }
+    Ok(())
 }
 
 /// Usage text.
@@ -445,14 +447,13 @@ USAGE:
           [--trace-events FILE] [--metrics FILE] [--metrics-format prom|json]
           [--trace-spans FILE] [--metrics-every N] [--flight-recorder K]
           [--faults SPEC] [--retry N] [--fault-seed N] [--degrade stale|fail]
-          [--compiled] [--streaming] [--chunk-size N] [--shards N]
+          [--shards N]
   byc sweep <edr|dr1|trace.jsonl> [--granularity table|column] [--scale S] [--seed N]
           [--servers N] [--cost-multipliers A,B,...]
           [--topology flat|two-tier[:M]|three-tier[:M1,M2]] [--fault-link N]
           [--metrics FILE] [--metrics-format prom|json]
           [--trace-spans FILE] [--metrics-every N] [--flight-recorder K]
           [--faults SPEC] [--retry N] [--fault-seed N] [--degrade stale|fail]
-          [--compiled]
   byc analyze <edr|dr1|trace.jsonl> [--scale S] [--seed N]
   byc help
 
@@ -524,26 +525,21 @@ FAULTS:   --faults injects deterministic WAN faults:
           --degrade picks the fallback when retries are exhausted: serve
           the stale local copy (stale, default) or fail the slice (fail).
 
-COMPILED: --compiled replays through the compiled-trace fast path:
-          catalog resolution and network pricing happen once up front,
-          then the replay walks a flat slice arena (sweeps compile once
-          and share it across every policy × fraction point). Reports
-          are bit-identical to the reference path; only speed changes.
-
-STREAMING: --streaming replays out-of-core: the trace streams through
-          the incremental chunk compiler instead of materializing, so a
-          100M-query file replays in constant memory (file traces are
-          read chunk-by-chunk; synthesized traces are chunk-replayed).
-          --chunk-size N sets the queries per chunk (default 4096).
+REPLAY:   every replay compiles the trace in chunks (catalog resolution
+          and network pricing once per chunk) and walks the compiled
+          slices; a sweep compiles once and shares the arena across
+          every policy × fraction point. A trace file streams chunk by
+          chunk, so a 100M-query file replays in constant memory —
+          except under --policy static, whose offline plan needs the
+          whole trace's demand profile, so the file loads into memory.
           --shards N splits the object-id space into N ranges, runs one
           policy instance per range on its own worker thread, and merges
-          the per-shard reports deterministically — same bytes as the
-          unsharded replay of the same sharded policy. Sharded replays
-          keep the cost report and audit but not the whole-stream
-          telemetry (--trace-events/--metrics/--trace-spans/
-          --metrics-every/--flight-recorder); static planning needs the
-          in-memory demand profile, so streamed *file* replays reject
-          --policy static. Reports are bit-identical across chunk sizes.";
+          the per-shard reports deterministically. Each shard caches in
+          its own share of the cache, so a sharded answer is NOT
+          comparable with an unsharded one. Sharded replays keep the
+          cost report and audit but not the whole-stream telemetry
+          (--trace-events/--metrics/--trace-spans/--metrics-every/
+          --flight-recorder).";
 
 /// Parse raw argument strings into a [`Command`].
 ///
@@ -575,12 +571,9 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             "retry",
             "fault-seed",
             "degrade",
-            "compiled",
             "trace-spans",
             "metrics-every",
             "flight-recorder",
-            "streaming",
-            "chunk-size",
             "shards",
         ],
         "sweep" => &[
@@ -597,7 +590,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             "retry",
             "fault-seed",
             "degrade",
-            "compiled",
             "trace-spans",
             "metrics-every",
             "flight-recorder",
@@ -618,12 +610,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                         .collect::<Vec<_>>()
                         .join(", ")
                 )));
-            }
-            // `--compiled` and `--streaming` are pure switches; every
-            // other flag takes a value.
-            if name == "compiled" || name == "streaming" {
-                flags.insert(name.to_string(), "true".to_string());
-                continue;
             }
             let value = it
                 .next()
@@ -733,7 +719,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .get("degrade")
                     .cloned()
                     .unwrap_or_else(|| "stale".into()),
-                compiled: flags.contains_key("compiled"),
                 trace_spans: flags.get("trace-spans").map(PathBuf::from),
                 metrics_every: flags
                     .get("metrics-every")
@@ -742,11 +727,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 flight_recorder: flags
                     .get("flight-recorder")
                     .map(|_| flag_u64(&flags, "flight-recorder", 0).map(|v| v as usize))
-                    .transpose()?,
-                streaming: flags.contains_key("streaming"),
-                chunk_size: flags
-                    .get("chunk-size")
-                    .map(|_| flag_u64(&flags, "chunk-size", 0).map(|v| v as usize))
                     .transpose()?,
                 shards: flags
                     .get("shards")
@@ -784,7 +764,6 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                     .get("degrade")
                     .cloned()
                     .unwrap_or_else(|| "stale".into()),
-                compiled: flags.contains_key("compiled"),
                 trace_spans: flags.get("trace-spans").map(PathBuf::from),
                 metrics_every: flags
                     .get("metrics-every")
@@ -951,12 +930,9 @@ pub fn run_command(command: Command) -> Result<String> {
             retry,
             fault_seed,
             degrade,
-            compiled,
             trace_spans,
             metrics_every,
             flight_recorder,
-            streaming,
-            chunk_size,
             shards,
         } => {
             if cache_fraction <= 0.0 || cache_fraction.is_nan() {
@@ -966,17 +942,7 @@ pub fn run_command(command: Command) -> Result<String> {
             }
             require_positive(metrics_every, "metrics-every")?;
             require_positive(flight_recorder.map(|v| v as u64), "flight-recorder")?;
-            require_positive(chunk_size.map(|v| v as u64), "chunk-size")?;
             require_positive(shards.map(|v| v as u64), "shards")?;
-            // --chunk-size only means something to a chunked replay.
-            let streaming = streaming || chunk_size.is_some() || shards.is_some();
-            if compiled && streaming {
-                return Err(Error::InvalidConfig(
-                    "--compiled walks a whole-trace arena; streamed replays compile \
-                     incrementally (drop --compiled or the streaming flags)"
-                        .into(),
-                ));
-            }
             if shards.is_some()
                 && (trace_events.is_some()
                     || metrics.is_some()
@@ -1013,11 +979,11 @@ pub fn run_command(command: Command) -> Result<String> {
                 t.begin("parse trace", "pipeline");
                 t
             });
-            // Streamed *file* replays never materialize the trace: the
-            // reader feeds the chunk compiler directly. Synthesized
-            // releases are generated in memory either way, so streaming
-            // them only changes the replay kernel, not the setup.
-            let file_streamed = streaming && parse_release(&trace).is_err();
+            // A trace file streams: the reader feeds the chunk compiler
+            // directly and the trace never materializes. Static is the
+            // exception — its offline plan needs the whole trace's demand
+            // profile — so it loads the file like a synthesized release.
+            let file_streamed = kind != PolicyKind::Static && parse_release(&trace).is_err();
             let mut reader_slot: Option<byc_workload::TraceReader> = None;
             let (catalog, resident) = if file_streamed {
                 reader_slot = Some(byc_workload::TraceReader::open(std::path::Path::new(
@@ -1029,7 +995,12 @@ pub fn run_command(command: Command) -> Result<String> {
                 (catalog, Some(trace))
             };
             if let Some(t) = pipeline.as_mut() {
-                t.arg("queries", resident.as_ref().map_or(0, |tr| tr.len()) as u64);
+                let queries = match (&reader_slot, &resident) {
+                    (Some(reader), _) => reader.query_count(),
+                    (None, Some(tr)) => tr.len(),
+                    (None, None) => 0,
+                };
+                t.arg("queries", queries as u64);
                 t.end();
                 t.begin("build", "pipeline");
             }
@@ -1040,14 +1011,6 @@ pub fn run_command(command: Command) -> Result<String> {
                 Some(tr) => WorkloadStats::compute(tr, &objects).demands,
                 None => Vec::new(),
             };
-            if resident.is_none() && kind == PolicyKind::Static {
-                return Err(Error::InvalidConfig(
-                    "static planning needs the trace's demand profile, which a streamed \
-                     file replay never materializes; drop --streaming or pick another \
-                     policy"
-                        .into(),
-                ));
-            }
             let capacity = objects.total_size().scale(cache_fraction);
             let network = build_network(&multipliers)?;
             if let Some(t) = pipeline.as_mut() {
@@ -1095,12 +1058,6 @@ pub fn run_command(command: Command) -> Result<String> {
                     // Unreachable: `resident` is Some whenever no reader is.
                     return Err(Error::InvalidConfig("no trace input".into()));
                 };
-                if streaming {
-                    session = session.streaming();
-                }
-                if let Some(chunk) = chunk_size {
-                    session = session.chunk_size(chunk);
-                }
                 // Sharded replays reject whole-stream observers; the
                 // per-server/per-tier breakdowns ride unsharded runs only.
                 if shards.is_none() {
@@ -1181,14 +1138,21 @@ pub fn run_command(command: Command) -> Result<String> {
                 if let Some(depth) = flight_recorder {
                     session = session.flight_recorder(depth);
                 }
-                if compiled {
-                    session = session.compiled();
-                }
                 let replay = session.run()?;
                 (replay, per_server.into_costs(), per_tier.into_windows())
             };
             let (report, warnings, postmortems) =
                 (replay.report, replay.warnings, replay.postmortems);
+            if file_streamed {
+                // The scale guard `load_trace` applies up front, applied
+                // to the demand the streamed replay saw.
+                check_scale(
+                    &trace,
+                    report.sequence_cost + report.failed_bytes,
+                    report.queries,
+                    &catalog,
+                )?;
+            }
             if let Some(t) = pipeline.as_mut() {
                 t.set_tick(report.queries as u64);
                 t.close_all();
@@ -1223,14 +1187,8 @@ pub fn run_command(command: Command) -> Result<String> {
                     out,
                     "sharded replay: {n} object-range shard(s), reports merged in shard order"
                 );
-            } else if streaming {
-                let _ = writeln!(
-                    out,
-                    "streamed replay: chunked{}, constant-memory",
-                    chunk_size
-                        .map(|c| format!(" ({c} queries/chunk)"))
-                        .unwrap_or_default()
-                );
+            } else if file_streamed {
+                let _ = writeln!(out, "streamed replay: chunked, constant-memory");
             }
             if let Some(model) = fault_model.as_deref() {
                 let _ = writeln!(
@@ -1373,7 +1331,6 @@ pub fn run_command(command: Command) -> Result<String> {
             retry,
             fault_seed,
             degrade,
-            compiled,
             trace_spans,
             metrics_every,
             flight_recorder,
@@ -1411,11 +1368,6 @@ pub fn run_command(command: Command) -> Result<String> {
                         .retry(RetryPolicy::new(retry, RETRY_BACKOFF_BASE))
                         .degrade(degradation);
                 }
-                if compiled {
-                    // One compilation, shared read-only across the whole
-                    // (policy × fraction) grid of replay threads.
-                    s = s.compiled();
-                }
                 s
             };
             // Fault-aware points carry the model name in their label, and
@@ -1434,7 +1386,7 @@ pub fn run_command(command: Command) -> Result<String> {
                     .unwrap_or_default()
             );
             // Only pay for observers when a flag asked for them; a bare
-            // sweep keeps the allocation-free fast path.
+            // sweep replays into the report sink alone.
             let observing = metrics.is_some()
                 || trace_spans.is_some()
                 || metrics_every.is_some()
@@ -1694,12 +1646,9 @@ mod tests {
                 retry,
                 fault_seed,
                 degrade,
-                compiled,
                 trace_spans,
                 metrics_every,
                 flight_recorder,
-                streaming,
-                chunk_size,
                 shards,
             } => {
                 assert_eq!(trace, "edr");
@@ -1719,12 +1668,9 @@ mod tests {
                 assert_eq!(retry, 1);
                 assert_eq!(fault_seed, None);
                 assert_eq!(degrade, "stale");
-                assert!(!compiled);
                 assert_eq!(trace_spans, None);
                 assert_eq!(metrics_every, None);
                 assert_eq!(flight_recorder, None);
-                assert!(!streaming);
-                assert_eq!(chunk_size, None);
                 assert_eq!(shards, None);
             }
             other => panic!("unexpected {other:?}"),
@@ -1827,45 +1773,53 @@ mod tests {
     }
 
     #[test]
-    fn compiled_flag_parses_without_value() {
-        let cmd = parse_args(&args(&[
-            "run",
-            "edr",
-            "--compiled",
-            "--policy",
-            "gds",
-            "--scale",
-            "0.001",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Run {
-                compiled, policy, ..
-            } => {
-                assert!(compiled);
-                assert_eq!(policy, "gds");
-            }
-            other => panic!("parsed {other:?}"),
+    fn removed_replay_mode_flags_are_unknown() {
+        // Replay modes are not flags: every replay compiles in chunks,
+        // files stream, sweeps compile once.
+        for argv in [
+            &["run", "edr", "--policy", "gds", "--compiled"][..],
+            &["run", "edr", "--policy", "gds", "--streaming"],
+            &["run", "edr", "--policy", "gds", "--chunk-size", "512"],
+            &["sweep", "edr", "--compiled"],
+            &["sweep", "edr", "--streaming"],
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(err.to_string().contains("unknown flag"), "{argv:?}: {err}");
         }
-        let cmd = parse_args(&args(&["sweep", "edr", "--compiled"])).unwrap();
-        match cmd {
-            Command::Sweep { compiled, .. } => assert!(compiled),
-            other => panic!("parsed {other:?}"),
-        }
-        // `--compiled` is unknown outside run/sweep.
-        assert!(parse_args(&args(&["analyze", "edr", "--compiled"])).is_err());
     }
 
     #[test]
     fn compiled_run_output_matches_reference() {
-        let run = |compiled: &[&str]| {
-            let mut argv = vec!["run", "edr", "--policy", "gds", "--scale", "0.001"];
-            argv.extend_from_slice(compiled);
-            run_command(parse_args(&args(&argv)).unwrap()).unwrap()
-        };
-        // The compiled path changes speed, never output: byte-identical
-        // report rendering, including the per-server table.
-        assert_eq!(run(&[]), run(&["--compiled"]));
+        let out = run_command(
+            parse_args(&args(&[
+                "run", "edr", "--policy", "gds", "--scale", "0.001",
+            ]))
+            .unwrap(),
+        )
+        .unwrap();
+        // The same replay through the uncompiled engine renders the same
+        // report table: compilation changes speed, never output.
+        let catalog = sdss::build(SdssRelease::Edr, 0.001, 1);
+        let trace = generate(&catalog, &WorkloadConfig::edr(42)).unwrap();
+        let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
+        let demands = WorkloadStats::compute(&trace, &objects).demands;
+        let capacity = objects.total_size().scale(0.15);
+        let mut policy = build_policy(PolicyKind::Gds, capacity, &demands, 42);
+        let mut cost = byc_federation::CostObserver::new(policy.name(), &trace.name, "column");
+        byc_federation::ReplayEngine::new(&objects).replay(
+            &trace,
+            policy.as_mut(),
+            &mut [&mut cost],
+        );
+        let report = cost.into_report();
+        let expected = render_cost_table(
+            &format!(
+                "{} on {} ({} caching, cache {:.0}% = {})",
+                report.policy, report.trace, report.granularity, 15.0, capacity
+            ),
+            std::slice::from_ref(&report),
+        );
+        assert!(out.starts_with(&expected), "{out}\nvs\n{expected}");
     }
 
     #[test]
@@ -1888,12 +1842,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
             shards: None,
         };
         assert!(run_command(cmd).is_err());
@@ -1973,12 +1924,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
             shards: None,
         })
         .unwrap_err();
@@ -2069,12 +2017,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
             shards: None,
         })
         .unwrap();
@@ -2125,12 +2070,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
             shards: None,
         })
         .unwrap();
@@ -2241,12 +2183,9 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "fail".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
             shards: None,
         })
         .unwrap();
@@ -2357,12 +2296,9 @@ mod tests {
                 retry: 1,
                 fault_seed: None,
                 degrade: "stale".into(),
-                compiled: true,
                 trace_spans: None,
                 metrics_every: None,
                 flight_recorder: None,
-                streaming: false,
-                chunk_size: None,
                 shards: None,
             })
             .unwrap()
@@ -2430,7 +2366,6 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: true,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
@@ -2466,16 +2401,12 @@ mod tests {
                 trace_spans,
                 metrics_every,
                 flight_recorder,
-                streaming,
-                chunk_size,
                 shards,
                 ..
             } => {
                 assert_eq!(trace_spans, Some(PathBuf::from("spans.json")));
                 assert_eq!(metrics_every, Some(64));
                 assert_eq!(flight_recorder, Some(8));
-                assert!(!streaming);
-                assert_eq!(chunk_size, None);
                 assert_eq!(shards, None);
             }
             other => panic!("unexpected {other:?}"),
@@ -2521,12 +2452,9 @@ mod tests {
                 retry: 1,
                 fault_seed: None,
                 degrade: "stale".into(),
-                compiled: false,
                 trace_spans: Some(spans.clone()),
                 metrics_every: Some(64),
                 flight_recorder: None,
-                streaming: false,
-                chunk_size: None,
                 shards: None,
             })
             .unwrap()
@@ -2583,10 +2511,7 @@ mod tests {
             trace_spans: None,
             metrics_every: None,
             flight_recorder: Some(4),
-            streaming: false,
-            chunk_size: None,
             shards: None,
-            compiled: false,
         })
         .unwrap();
         assert!(out.contains("postmortem: query"), "{out}");
@@ -2624,7 +2549,6 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: true,
             trace_spans: Some(spans.clone()),
             metrics_every: Some(50),
             flight_recorder: None,
@@ -2680,7 +2604,6 @@ mod tests {
             retry: 2,
             fault_seed: Some(11),
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
@@ -2717,45 +2640,37 @@ mod tests {
             retry: 1,
             fault_seed: None,
             degrade: "stale".into(),
-            compiled: false,
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-            streaming: false,
-            chunk_size: None,
             shards: None,
         }
     }
 
     #[test]
     fn streaming_flags_parse() {
+        // Streaming is how a file replays, not a flag; sharding is the
+        // one replay-shape flag left.
         let cmd = parse_args(&args(&[
             "run",
-            "edr",
+            "trace.jsonl",
             "--policy",
             "gds",
-            "--streaming",
-            "--chunk-size",
-            "512",
             "--shards",
             "4",
         ]))
         .unwrap();
         match cmd {
-            Command::Run {
-                streaming,
-                chunk_size,
-                shards,
-                ..
-            } => {
-                assert!(streaming);
-                assert_eq!(chunk_size, Some(512));
+            Command::Run { trace, shards, .. } => {
+                assert_eq!(trace, "trace.jsonl");
                 assert_eq!(shards, Some(4));
             }
             other => panic!("unexpected {other:?}"),
         }
-        // sweep has no streaming mode.
-        let err = parse_args(&args(&["sweep", "edr", "--streaming"])).unwrap_err();
+        let err = parse_args(&args(&["run", "edr", "--policy", "gds", "--streaming"])).unwrap_err();
+        assert!(err.to_string().contains("unknown flag"), "{err}");
+        // sweep has no sharded mode.
+        let err = parse_args(&args(&["sweep", "edr", "--shards", "2"])).unwrap_err();
         assert!(err.to_string().contains("unknown flag"), "{err}");
     }
 
@@ -2779,21 +2694,32 @@ mod tests {
                 .map(String::from)
                 .collect()
         };
-        let plain = strip(run_command(base_run(&trace)).unwrap());
-
-        let mut streamed_cmd = base_run(&trace);
-        if let Command::Run {
-            ref mut streaming,
-            ref mut chunk_size,
-            ..
-        } = streamed_cmd
-        {
-            *streaming = true;
-            *chunk_size = Some(7);
-        }
-        let streamed_out = run_command(streamed_cmd).unwrap();
+        let streamed_out = run_command(base_run(&trace)).unwrap();
         assert!(streamed_out.contains("streamed replay:"), "{streamed_out}");
-        assert_eq!(plain, strip(streamed_out), "streamed != resident");
+
+        // The resident reference: the uncompiled engine over the whole
+        // trace read into memory renders the same report table.
+        let resident = trace_io::read_trace(&path).unwrap();
+        let catalog = sdss::build(SdssRelease::Edr, 0.001, 1);
+        let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
+        let capacity = objects.total_size().scale(0.25);
+        let mut policy = build_policy(PolicyKind::Gds, capacity, &[], 11);
+        let mut cost = byc_federation::CostObserver::new(policy.name(), &resident.name, "column");
+        byc_federation::ReplayEngine::new(&objects).replay(
+            &resident,
+            policy.as_mut(),
+            &mut [&mut cost],
+        );
+        let report = cost.into_report();
+        let table = render_cost_table(
+            &format!(
+                "{} on {} ({} caching, cache {:.0}% = {})",
+                report.policy, report.trace, report.granularity, 25.0, capacity
+            ),
+            std::slice::from_ref(&report),
+        );
+        assert!(streamed_out.starts_with(&table), "streamed != resident");
+        let plain = strip(streamed_out);
 
         // One shard = the whole object space: same capacity, same seed,
         // same policy instance — the report must not move.
@@ -2805,6 +2731,44 @@ mod tests {
         assert!(sharded_out.contains("sharded replay:"), "{sharded_out}");
         assert_eq!(plain, strip(sharded_out), "1-sharded != resident");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn streamed_file_span_trace_counts_header_queries() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("byc-cli-span-file-{}.jsonl", std::process::id()));
+        let spans = dir.join(format!("byc-cli-span-file-{}.json", std::process::id()));
+        run_command(Command::GenTrace {
+            release: "edr".into(),
+            out: path.clone(),
+            seed: 13,
+            scale: 0.001,
+            queries: 90,
+        })
+        .unwrap();
+        let mut cmd = base_run(&path.to_string_lossy());
+        if let Command::Run {
+            ref mut trace_spans,
+            ..
+        } = cmd
+        {
+            *trace_spans = Some(spans.clone());
+        }
+        let out = run_command(cmd).unwrap();
+        assert!(out.contains("streamed replay:"), "{out}");
+        // The trace never materialized, so the count comes from the
+        // file's header.
+        let text = std::fs::read_to_string(&spans).unwrap();
+        let value = byc_types::json::Value::parse(&text).unwrap();
+        let parse = value["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|e| e["name"].as_str() == Some("parse trace"))
+            .expect("a parse trace span");
+        assert_eq!(parse["args"]["queries"].as_u64(), Some(90), "{text}");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&spans).ok();
     }
 
     #[test]
@@ -2829,19 +2793,6 @@ mod tests {
     fn streaming_flag_conflicts() {
         let mut cmd = base_run("edr");
         if let Command::Run {
-            ref mut streaming,
-            ref mut compiled,
-            ..
-        } = cmd
-        {
-            *streaming = true;
-            *compiled = true;
-        }
-        let err = run_command(cmd).unwrap_err();
-        assert!(err.to_string().contains("--compiled"), "{err}");
-
-        let mut cmd = base_run("edr");
-        if let Command::Run {
             ref mut shards,
             ref mut metrics,
             ..
@@ -2853,7 +2804,8 @@ mod tests {
         let err = run_command(cmd).unwrap_err();
         assert!(err.to_string().contains("whole-stream"), "{err}");
 
-        // Streamed file replays never see the demand profile Static needs.
+        // A file streams, except under Static: its offline plan needs the
+        // whole trace's demand profile, so the file loads into memory.
         let dir = std::env::temp_dir();
         let path = dir.join(format!("byc-cli-static-{}.jsonl", std::process::id()));
         run_command(Command::GenTrace {
@@ -2865,17 +2817,14 @@ mod tests {
         })
         .unwrap();
         let mut cmd = base_run(&path.to_string_lossy());
-        if let Command::Run {
-            ref mut policy,
-            ref mut streaming,
-            ..
-        } = cmd
-        {
+        if let Command::Run { ref mut policy, .. } = cmd {
             *policy = "static".into();
-            *streaming = true;
         }
-        let err = run_command(cmd).unwrap_err();
-        assert!(err.to_string().contains("demand profile"), "{err}");
+        let out = run_command(cmd).unwrap();
+        assert!(out.contains("Static"), "{out}");
+        assert!(!out.contains("streamed replay:"), "{out}");
+        let out = run_command(base_run(&path.to_string_lossy())).unwrap();
+        assert!(out.contains("streamed replay: chunked"), "{out}");
         std::fs::remove_file(&path).ok();
     }
 }

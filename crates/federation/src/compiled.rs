@@ -1,39 +1,22 @@
-//! Compiled traces: the allocation-free, lookup-free replay hot path.
+//! Compiled traces: the arena the replay kernel walks.
 //!
-//! The uncompiled engine pays per-access overhead that is invariant
-//! across replays of the same `(trace, objects, network)` triple:
-//! catalog resolution (`object_for_table` / `object_for_column`), the
-//! `ObjectInfo` lookup, and network pricing of fetch costs all recompute
-//! the same values on every pass. Sweeps replay one trace dozens of
-//! times — (policy × cache-fraction) grids, fault ablations — so that
-//! work is pure waste after the first replay.
+//! Per-access work that is invariant across replays of the same
+//! `(trace, objects, network)` triple — catalog resolution
+//! (`object_for_table` / `object_for_column`), the `ObjectInfo` lookup,
+//! and network pricing of fetch and bypass costs — is hoisted into a
+//! compilation pass. Every query becomes a run of [`CompiledSlice`]
+//! records (object, home server, raw yield, both network-priced costs)
+//! in one contiguous arena, delimited by a per-query offset table.
 //!
-//! A [`CompiledTrace`] hoists all of it into a one-time compilation
-//! pass: every query is flattened into a contiguous arena of
-//! [`CompiledSlice`] records (object, home server, raw yield, and both
-//! network-priced costs), with a per-query offset table delimiting each
-//! query's slice run. Replaying a compiled trace is then a linear walk
-//! over two flat `Vec`s: no hashing, no catalog lookups, no pricing
-//! arithmetic, and no per-query allocation (the uncompiled path's
-//! `decompose` builds a fresh `Vec` per query on the query-level path).
-//!
-//! Faulted and observed compiled replays funnel every slice through the
-//! crate's single decision→cost conversion site (`slice_event` in
-//! [`crate::engine`]), so their [`CostReport`]s are bit-identical to the
-//! reference engine's by construction. The fault-free report path is the
-//! one sanctioned hand-inlining of that conversion — a branch-free
-//! accumulation loop whose bit-identity the `compiled_equivalence`
-//! property tests pin across every policy and network configuration.
+//! The arena type is [`CompiledChunk`]: a [`ChunkCompiler`] emits one
+//! per run of queries as a replay streams. A [`CompiledTrace`] is the same arena
+//! holding a whole trace, compiled in one pass; sweeps build one and
+//! share it across their whole (policy × fraction) grid.
 
-use crate::accounting::CostReport;
-use crate::engine::{
-    serve_slice_tiered, slice_event, CostObserver, Observer, QueryWindow, TierState,
-};
-use crate::faults::FaultPlan;
-use crate::network::{NetworkModel, Topology};
-use byc_catalog::{Granularity, ObjectCatalog};
+use crate::network::NetworkModel;
+use crate::stream::{ChunkCompiler, CompiledChunk};
+use byc_catalog::ObjectCatalog;
 use byc_core::access::Access;
-use byc_core::policy::CachePolicy;
 use byc_types::{Bytes, ObjectId, ServerId, Tick};
 use byc_workload::Trace;
 
@@ -47,13 +30,14 @@ pub struct CompiledSlice {
     pub server: ServerId,
     /// Raw result bytes of the slice (yield, network-independent).
     pub raw_yield: Bytes,
-    /// WAN cost of bypassing the slice: `raw_yield` priced by the home
-    /// server's link (what the engine computes per access, per replay).
+    /// WAN cost of bypassing the slice over the site tier's uplink:
+    /// `raw_yield` priced by the home server's link.
     pub priced_yield: Bytes,
     /// The object's total size (the policy-visible `Access::size`).
     pub size: Bytes,
-    /// WAN cost of loading the object: its fetch cost priced by the home
-    /// server's link (the policy-visible `Access::fetch_cost`).
+    /// WAN cost of loading the object into the site tier: its fetch
+    /// cost priced by the home server's link (the policy-visible
+    /// `Access::fetch_cost`).
     pub priced_fetch: Bytes,
 }
 
@@ -74,115 +58,22 @@ impl CompiledSlice {
     }
 }
 
-/// Flatten `trace` into a slice arena: resolve every table/column
-/// reference through `objects` — skipping references that do not
-/// resolve, matching [`crate::engine::decompose`] slice for slice — and
-/// let `slice_for` price each one. Returns the arena plus the per-query
-/// offset table (`offsets.len() == queries + 1`).
-fn resolve_arena(
-    trace: &Trace,
-    objects: &ObjectCatalog,
-    mut slice_for: impl FnMut(ObjectId, Bytes) -> CompiledSlice,
-) -> (Vec<CompiledSlice>, Vec<usize>) {
-    let mut slices = Vec::new();
-    let mut offsets = Vec::with_capacity(trace.len() + 1);
-    offsets.push(0);
-    for query in &trace.queries {
-        match objects.granularity() {
-            Granularity::Table => {
-                for &(t, raw_yield) in &query.table_yields {
-                    if let Ok(object) = objects.object_for_table(t) {
-                        slices.push(slice_for(object, raw_yield));
-                    }
-                }
-            }
-            Granularity::Column => {
-                for &(c, raw_yield) in &query.column_yields {
-                    if let Ok(object) = objects.object_for_column(c) {
-                        slices.push(slice_for(object, raw_yield));
-                    }
-                }
-            }
-        }
-        offsets.push(slices.len());
-    }
-    (slices, offsets)
-}
+/// A whole trace compiled against one `(objects, network)` pair as a
+/// single arena: compile once, replay many.
+pub type CompiledTrace = CompiledChunk;
 
-/// A trace compiled against one `(objects, network)` pair: a flat slice
-/// arena plus per-query offsets. Compile once, replay many — the sweep
-/// builds one and shares it (immutably) across all its worker threads.
-#[derive(Clone, Debug)]
-pub struct CompiledTrace {
-    /// Trace name, for report headers.
-    name: String,
-    /// Granularity label of the compiled object view.
-    granularity: String,
-    /// All queries' slices, concatenated in replay order.
-    slices: Vec<CompiledSlice>,
-    /// `offsets[q]..offsets[q + 1]` delimits query `q`'s slices
-    /// (`offsets.len() == queries + 1`).
-    offsets: Vec<usize>,
-}
-
-impl CompiledTrace {
-    /// Compile `trace` against `objects` and `network`: resolve every
-    /// table/column reference to its cacheable object and price its
-    /// traffic, exactly once. References that do not resolve are
-    /// skipped, matching [`crate::engine::decompose`] slice for slice.
+impl CompiledChunk {
+    /// Compile all of `trace` against `objects` and `network` in one
+    /// pass: resolve every table/column reference to its cacheable
+    /// object and price its traffic, exactly once. References that do
+    /// not resolve are skipped, matching [`crate::engine::decompose`]
+    /// slice for slice.
     pub fn compile(trace: &Trace, objects: &ObjectCatalog, network: &dyn NetworkModel) -> Self {
-        let (slices, offsets) = resolve_arena(trace, objects, |object, raw_yield| {
-            Self::slice_for(objects, network, object, raw_yield)
-        });
-        CompiledTrace {
-            name: trace.name.clone(),
-            granularity: objects.granularity().label().to_string(),
-            slices,
-            offsets,
-        }
+        ChunkCompiler::flat(objects, network).compile(&trace.queries)
     }
 
-    /// Resolve and price one slice (the per-slice work the compilation
-    /// pass hoists out of the replay loop).
-    fn slice_for(
-        objects: &ObjectCatalog,
-        network: &dyn NetworkModel,
-        object: ObjectId,
-        raw_yield: Bytes,
-    ) -> CompiledSlice {
-        let info = objects.info(object);
-        CompiledSlice {
-            object,
-            server: info.server,
-            raw_yield,
-            priced_yield: network.price(info.server, raw_yield),
-            size: info.size,
-            priced_fetch: network.price(info.server, info.fetch_cost),
-        }
-    }
-
-    /// The compiled trace's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The granularity label this trace was compiled at.
-    pub fn granularity(&self) -> &str {
-        &self.granularity
-    }
-
-    /// Number of queries in the compiled trace.
-    pub fn queries(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// The whole slice arena, in replay order.
-    pub fn slices(&self) -> &[CompiledSlice] {
-        &self.slices
-    }
-
-    /// The slices of query `index` (empty when out of range or the query
-    /// resolved to no cacheable objects).
+    /// The slices of the chunk's local query `index` (empty when out of
+    /// range or the query resolved to no cacheable objects).
     pub fn query_slices(&self, index: usize) -> &[CompiledSlice] {
         let bounds = index
             .checked_add(1)
@@ -192,371 +83,6 @@ impl CompiledTrace {
         };
         self.slices.get(start..end).unwrap_or(&[])
     }
-
-    /// Replay the compiled trace through `policy` and return the
-    /// [`CostReport`] — the allocation-free hot path. No observers, no
-    /// dynamic dispatch per event. Fault-free replays accumulate the
-    /// decision split straight into a [`QueryWindow`] (the hand-inlined
-    /// equivalent of `slice_event` + `CostObserver`, whose bit-identity
-    /// the `compiled_equivalence` property tests pin); faulted replays
-    /// run the engine's shared `slice_event` conversion, where the retry
-    /// and degradation arms live.
-    pub fn replay_report(
-        &self,
-        policy: &mut dyn CachePolicy,
-        faults: Option<FaultPlan<'_>>,
-    ) -> CostReport {
-        match faults {
-            Some(plan) => self.replay_report_faulted(policy, plan),
-            None => self.replay_report_fault_free(policy),
-        }
-    }
-
-    /// The fault-free hot loop: per slice, one policy call and a handful
-    /// of adds. Every field written here sums exactly the quantities
-    /// `slice_event` would put in a fault-free [`CostEvent`], in the same
-    /// order, so the report is bit-identical to the reference path.
-    fn replay_report_fault_free(&self, policy: &mut dyn CachePolicy) -> CostReport {
-        use byc_core::policy::Decision;
-        let mut w = QueryWindow::default();
-        let mut queries = 0usize;
-        for (index, bounds) in self.offsets.windows(2).enumerate() {
-            let &[start, end] = bounds else { continue };
-            let time = Tick::new(index as u64);
-            queries += 1;
-            for slice in self.slices.get(start..end).unwrap_or(&[]) {
-                let access = slice.access(time);
-                w.delivered += slice.raw_yield;
-                match policy.on_access(&access) {
-                    Decision::Hit => {
-                        w.hits += 1;
-                        w.cache_served += slice.raw_yield;
-                    }
-                    Decision::Bypass => {
-                        w.bypasses += 1;
-                        w.bypass_served += slice.raw_yield;
-                        w.bypass_cost += slice.priced_yield;
-                    }
-                    Decision::Load { evictions } => {
-                        w.loads += 1;
-                        w.evictions += evictions.len() as u64;
-                        w.fetch_cost += slice.priced_fetch;
-                        w.cache_served += slice.raw_yield;
-                    }
-                }
-            }
-        }
-        CostReport {
-            policy: policy.name().to_string(),
-            trace: self.name.clone(),
-            granularity: self.granularity.clone(),
-            queries,
-            sequence_cost: w.delivered,
-            bypass_served: w.bypass_served,
-            bypass_cost: w.bypass_cost,
-            fetch_cost: w.fetch_cost,
-            relay_cost: Bytes::ZERO,
-            cache_served: w.cache_served,
-            retried_bytes: Bytes::ZERO,
-            failed_bytes: Bytes::ZERO,
-            hits: w.hits,
-            bypasses: w.bypasses,
-            loads: w.loads,
-            evictions: w.evictions,
-            retries: 0,
-            failed_queries: 0,
-            degraded_queries: 0,
-        }
-    }
-
-    /// The faulted hot loop: same arena walk, with each slice resolved
-    /// through the engine's shared `slice_event` conversion (retries,
-    /// spikes, degradation) into a [`CostObserver`].
-    fn replay_report_faulted(
-        &self,
-        policy: &mut dyn CachePolicy,
-        faults: FaultPlan<'_>,
-    ) -> CostReport {
-        let mut cost = CostObserver::new(policy.name(), &self.name, &self.granularity);
-        for (index, bounds) in self.offsets.windows(2).enumerate() {
-            let &[start, end] = bounds else { continue };
-            let time = Tick::new(index as u64);
-            cost.start_query();
-            for slice in self.slices.get(start..end).unwrap_or(&[]) {
-                let access = slice.access(time);
-                let decision = policy.on_access(&access);
-                let event = slice_event(
-                    index,
-                    time,
-                    slice.raw_yield,
-                    slice.server,
-                    &access,
-                    &decision,
-                    &*policy,
-                    Some(&faults),
-                    || slice.priced_yield,
-                );
-                cost.absorb(&event);
-            }
-            cost.end_query();
-        }
-        cost.into_report()
-    }
-
-    /// Replay the compiled trace with the full observer protocol —
-    /// series capture, auditing, telemetry. `trace` must be the trace
-    /// this was compiled from (observers receive its queries in their
-    /// `on_query_start`/`on_query_end` hooks). Costs still come from the
-    /// arena; only the observer hooks touch the original trace.
-    pub fn replay_observed(
-        &self,
-        trace: &Trace,
-        policy: &mut dyn CachePolicy,
-        faults: Option<FaultPlan<'_>>,
-        observers: &mut [&mut dyn Observer],
-    ) {
-        debug_assert_eq!(trace.len(), self.queries(), "trace/compilation mismatch");
-        // Query-boundary observers (span tracers) skip the per-slice
-        // dispatch entirely: partition them behind the access-hungry
-        // prefix once, up front.
-        let access_count = crate::engine::partition_access_observers(observers);
-        for ((index, query), bounds) in trace
-            .queries
-            .iter()
-            .enumerate()
-            .zip(self.offsets.windows(2))
-        {
-            let &[start, end] = bounds else { continue };
-            let time = Tick::new(index as u64);
-            for obs in observers.iter_mut() {
-                obs.on_query_start(index, query);
-            }
-            for slice in self.slices.get(start..end).unwrap_or(&[]) {
-                let access = slice.access(time);
-                let decision = policy.on_access(&access);
-                let event = slice_event(
-                    index,
-                    time,
-                    slice.raw_yield,
-                    slice.server,
-                    &access,
-                    &decision,
-                    &*policy,
-                    faults.as_ref(),
-                    || slice.priced_yield,
-                );
-                for obs in observers.iter_mut().take(access_count) {
-                    obs.on_access(&event);
-                }
-            }
-            for obs in observers.iter_mut() {
-                obs.on_query_end(index, query);
-            }
-        }
-        let policy: &dyn CachePolicy = policy;
-        for obs in observers.iter_mut() {
-            obs.finish(Some(policy));
-        }
-    }
-}
-
-/// A trace compiled against one `(objects, topology)` pair: the same
-/// slice arena as [`CompiledTrace`], plus row-major per-link price
-/// tables so the tiered replay loop never touches the topology — every
-/// link price and origin-fetch suffix a slice can need is precomputed
-/// at compile time, one row per slice.
-///
-/// Both tiered replay entry points funnel every slice through
-/// [`crate::engine`]'s `serve_slice_tiered` — the crate's single tiered
-/// decision→cost conversion site — with array-backed price providers,
-/// so compiled and uncompiled tiered replays are bit-identical by
-/// construction.
-#[derive(Clone, Debug)]
-pub struct CompiledTopology {
-    /// Trace name, for report headers.
-    name: String,
-    /// Granularity label of the compiled object view.
-    granularity: String,
-    /// All queries' slices, concatenated in replay order. The flat
-    /// priced fields hold the degenerate view: `priced_yield` is the
-    /// site link's bypass price, `priced_fetch` the full origin fetch —
-    /// on a single-tier topology, exactly what [`CompiledTrace`] stores.
-    slices: Vec<CompiledSlice>,
-    /// `offsets[q]..offsets[q + 1]` delimits query `q`'s slices.
-    offsets: Vec<usize>,
-    /// Number of caching tiers (row width of the price tables).
-    depth: usize,
-    /// Row-major `[slice][link]`: the slice's yield priced over each
-    /// topology link (what relaying or bypassing over that link costs).
-    yield_prices: Vec<Bytes>,
-    /// Row-major `[slice][tier]`: the object's origin-fetch cost priced
-    /// down to each tier (the policy-visible `Access::fetch_cost` at
-    /// that tier).
-    fetch_suffixes: Vec<Bytes>,
-}
-
-impl CompiledTopology {
-    /// Compile `trace` against `objects` and `topology`: resolve every
-    /// reference once and precompute, per slice, its yield price on
-    /// every link and its origin-fetch suffix at every tier.
-    pub fn compile(trace: &Trace, objects: &ObjectCatalog, topology: &Topology) -> Self {
-        let depth = topology.depth();
-        let mut yield_prices = Vec::new();
-        let mut fetch_suffixes = Vec::new();
-        let (slices, offsets) = resolve_arena(trace, objects, |object, raw_yield| {
-            let info = objects.info(object);
-            for link in 0..depth {
-                yield_prices.push(topology.link_price(link, info.server, raw_yield));
-                fetch_suffixes.push(topology.fetch_suffix(link, info.server, info.fetch_cost));
-            }
-            CompiledSlice {
-                object,
-                server: info.server,
-                raw_yield,
-                priced_yield: topology.link_price(0, info.server, raw_yield),
-                size: info.size,
-                priced_fetch: topology.fetch_suffix(0, info.server, info.fetch_cost),
-            }
-        });
-        CompiledTopology {
-            name: trace.name.clone(),
-            granularity: objects.granularity().label().to_string(),
-            slices,
-            offsets,
-            depth,
-            yield_prices,
-            fetch_suffixes,
-        }
-    }
-
-    /// The compiled trace's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The granularity label this trace was compiled at.
-    pub fn granularity(&self) -> &str {
-        &self.granularity
-    }
-
-    /// Number of queries in the compiled trace.
-    pub fn queries(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Number of caching tiers this trace was compiled for.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The whole slice arena, in replay order.
-    pub fn slices(&self) -> &[CompiledSlice] {
-        &self.slices
-    }
-
-    /// Replay the compiled hierarchy and return the [`CostReport`] —
-    /// the tiered hot path. The report is labelled with the site tier's
-    /// policy name.
-    pub fn replay_report(
-        &self,
-        tiers: &mut [TierState<'_>],
-        faults: Option<&FaultPlan<'_>>,
-    ) -> CostReport {
-        let label = tiers
-            .first()
-            .map(|t| t.policy.name().to_string())
-            .unwrap_or_default();
-        let mut cost = CostObserver::new(&label, &self.name, &self.granularity);
-        let mut scratch = Vec::with_capacity(self.depth);
-        let mut rows_y = self.yield_prices.chunks_exact(self.depth.max(1));
-        let mut rows_f = self.fetch_suffixes.chunks_exact(self.depth.max(1));
-        for (index, bounds) in self.offsets.windows(2).enumerate() {
-            let &[start, end] = bounds else { continue };
-            let time = Tick::new(index as u64);
-            cost.start_query();
-            for slice in self.slices.get(start..end).unwrap_or(&[]) {
-                let (Some(row_y), Some(row_f)) = (rows_y.next(), rows_f.next()) else {
-                    break;
-                };
-                serve_slice_tiered(
-                    index,
-                    time,
-                    slice.object,
-                    slice.server,
-                    slice.raw_yield,
-                    slice.size,
-                    tiers,
-                    faults,
-                    &|l| row_y.get(l).copied().unwrap_or(Bytes::ZERO),
-                    &|t| row_f.get(t).copied().unwrap_or(Bytes::ZERO),
-                    &mut scratch,
-                    &mut |event| cost.absorb(event),
-                );
-            }
-            cost.end_query();
-        }
-        cost.into_report()
-    }
-
-    /// Replay the compiled hierarchy with the full observer protocol.
-    /// `trace` must be the trace this was compiled from (observers see
-    /// its queries in their query hooks). Like the uncompiled tiered
-    /// runner, this does *not* call [`Observer::finish`]: per-tier audit
-    /// observers need their own tier's policy at finish time, so the
-    /// caller closes the observers out.
-    pub fn replay_observed(
-        &self,
-        trace: &Trace,
-        tiers: &mut [TierState<'_>],
-        faults: Option<&FaultPlan<'_>>,
-        observers: &mut [&mut dyn Observer],
-    ) {
-        debug_assert_eq!(trace.len(), self.queries(), "trace/compilation mismatch");
-        // Same partition as the flat hot path: query-boundary observers
-        // never see per-slice dispatch.
-        let access_count = crate::engine::partition_access_observers(observers);
-        let mut scratch = Vec::with_capacity(self.depth);
-        let mut rows_y = self.yield_prices.chunks_exact(self.depth.max(1));
-        let mut rows_f = self.fetch_suffixes.chunks_exact(self.depth.max(1));
-        for ((index, query), bounds) in trace
-            .queries
-            .iter()
-            .enumerate()
-            .zip(self.offsets.windows(2))
-        {
-            let &[start, end] = bounds else { continue };
-            let time = Tick::new(index as u64);
-            for obs in observers.iter_mut() {
-                obs.on_query_start(index, query);
-            }
-            for slice in self.slices.get(start..end).unwrap_or(&[]) {
-                let (Some(row_y), Some(row_f)) = (rows_y.next(), rows_f.next()) else {
-                    break;
-                };
-                serve_slice_tiered(
-                    index,
-                    time,
-                    slice.object,
-                    slice.server,
-                    slice.raw_yield,
-                    slice.size,
-                    tiers,
-                    faults,
-                    &|l| row_y.get(l).copied().unwrap_or(Bytes::ZERO),
-                    &|t| row_f.get(t).copied().unwrap_or(Bytes::ZERO),
-                    &mut scratch,
-                    &mut |event| {
-                        for obs in observers.iter_mut().take(access_count) {
-                            obs.on_access(event);
-                        }
-                    },
-                );
-            }
-            for obs in observers.iter_mut() {
-                obs.on_query_end(index, query);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -565,6 +91,7 @@ mod tests {
     use crate::engine::decompose;
     use crate::network::{PerServerMultipliers, Uniform};
     use byc_catalog::sdss::{build, SdssRelease};
+    use byc_catalog::Granularity;
     use byc_workload::{generate, WorkloadConfig};
 
     fn setup(servers: u32, queries: usize) -> (Trace, ObjectCatalog) {

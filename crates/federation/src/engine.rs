@@ -1,19 +1,22 @@
-//! The one replay engine behind every federation entry point.
+//! The replay event model and the per-query engine.
 //!
-//! Historically the simulator's free functions, the [`Mediator`], and the
-//! semantic-cache baseline each carried their own copy of the
-//! decision→cost conversion. This module hosts the single kernel:
+//! Every replay in `byc-federation` speaks one stream:
 //!
 //! ```text
 //! TraceQuery → Access stream → Decision → CostEvent → observers
 //! ```
 //!
-//! A [`ReplayEngine`] decomposes each query into per-object accesses,
-//! prices them through a [`NetworkModel`] (each object's traffic costs
-//! what its *home server's* link charges), asks the policy for a
-//! decision, and converts it into one [`CostEvent`] — the only place in
-//! `byc-federation` where `Decision` variants are interpreted as WAN
-//! costs. Everything downstream is an [`Observer`] composition:
+//! Two functions interpret a `Decision` as WAN cost: `slice_event`
+//! for one access on a one-tier stack (a flat network, or a one-tier
+//! topology) and `serve_slice_tiered` for the walk up a deeper tier
+//! hierarchy, of which the one-tier case is the degenerate form. The
+//! chunked replay kernel in [`crate::stream`] runs them for every
+//! session replay. The [`ReplayEngine`] in this module resolves and
+//! prices each
+//! query as it goes: it serves the [`Mediator`] and the semantic
+//! baseline, and with [`replay_tiered`] it is the uncompiled oracle the
+//! equivalence suites hold the kernel to. Everything downstream is an
+//! [`Observer`] composition:
 //!
 //! * [`CostObserver`] — accumulates a [`CostReport`] (Tables 1–2);
 //! * [`SeriesObserver`] — samples the cumulative-cost curves (Figs 7–8);
@@ -25,6 +28,7 @@
 //! [`Mediator`]: crate::mediator::Mediator
 
 use crate::accounting::CostReport;
+use crate::compiled::CompiledSlice;
 use crate::faults::{spiked_cost, FaultPlan};
 use crate::network::NetworkModel;
 use crate::simulator::SeriesPoint;
@@ -159,8 +163,9 @@ pub trait Observer {
 
     /// Whether this observer consumes per-access events. Observers that
     /// only tick on query boundaries (span tracers chunking by query
-    /// index) return `false`, and every replay loop — including the
-    /// compiled hot path — then skips them in its per-slice dispatch:
+    /// index) return `false`, and every replay loop — the kernel's
+    /// observer sink and the engine's — then skips them in its
+    /// per-slice dispatch:
     /// attaching such an observer costs two virtual calls per *query*,
     /// not per slice.
     fn wants_accesses(&self) -> bool {
@@ -221,17 +226,14 @@ pub fn decompose(query: &TraceQuery, objects: &ObjectCatalog) -> Vec<(ObjectId, 
     out
 }
 
-/// Convert one (access, decision) pair into its [`CostEvent`] — the
-/// single decision→cost conversion site in the crate, shared by the
-/// engine's [`ReplayEngine::serve_query`] path and the compiled fast
-/// path ([`CompiledTrace`](crate::compiled::CompiledTrace)). Because
-/// both paths run this exact function on the same inputs, their cost
-/// accounting is bit-identical by construction.
+/// Convert one flat (access, decision) pair into its [`CostEvent`]: the
+/// conversion behind [`ReplayEngine::serve_query`] and behind every
+/// one-tier slice the kernel replays.
 ///
 /// `priced_yield` is the network-priced WAN cost of bypassing the slice;
 /// it is lazy (`FnOnce`) so the uncompiled path only prices bypassed
-/// slices, while the compiled path passes its precomputed value for
-/// free. `access.fetch_cost` must already be priced by the object's
+/// slices, while the kernel passes its precompiled value for free.
+/// `access.fetch_cost` must already be priced by the object's
 /// home-server link.
 ///
 /// The decision stream is fault-independent: the policy never sees
@@ -349,36 +351,11 @@ fn degrade_slice(plan: &FaultPlan<'_>, event: &mut CostEvent<'_>, raw_yield: Byt
     }
 }
 
-/// One caching tier's replay-time state: the tier's policy plus its
-/// display name. Tiers are ordered bottom-up (index 0 nearest the
-/// clients); each tier owns its policy — and through it its own
-/// `CacheState` — so the hierarchy's tiers evolve independently.
-///
-/// The policy bound carries `Send + Sync` so a slice of `TierState` can
-/// be moved into a sweep worker thread (the same readiness the
-/// concurrency audit asserts for every shared replay type).
-pub struct TierState<'a> {
-    /// Tier display name (from the topology's `TierSpec`).
-    pub name: &'a str,
-    /// The tier's cache policy.
-    pub policy: &'a mut (dyn CachePolicy + Send + Sync),
-}
-
-impl std::fmt::Debug for TierState<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TierState")
-            .field("name", &self.name)
-            .field("policy", &self.policy.name())
-            .finish()
-    }
-}
-
 /// Resolve one object slice through a tier hierarchy — the tiered
-/// counterpart of [`slice_event`], and like it the *single*
-/// decision→cost conversion site: the uncompiled tiered runner and the
-/// compiled tiered replay both call this exact function (with different
-/// price providers), so their accounting is bit-identical by
-/// construction.
+/// counterpart of [`slice_event`]. The replay kernel
+/// ([`crate::stream`]) runs it for every slice on a stack of two or
+/// more tiers, and the uncompiled tiered oracle [`replay_tiered`] runs
+/// it at every depth with catalog-and-topology price providers.
 ///
 /// The walk consults tier 0 first. A `Bypass` forwards the request one
 /// hop up; a `Hit` at tier `r` serves the slice from that tier, relaying
@@ -396,10 +373,11 @@ impl std::fmt::Debug for TierState<'_> {
 /// of the resolution (nothing for a tier-0 hit), fails when any link in
 /// the set fails, and multiplies surviving links' cost spikes.
 ///
-/// `yield_price(l)` prices the slice's yield over link `l`;
-/// `fetch_suffix(t)` prices the object's origin fetch down to tier `t`.
-/// `scratch` is caller-owned so the per-slice decision walk allocates
-/// nothing once warm.
+/// `tiers` holds one policy per caching tier, bottom-up (index 0 is the
+/// site tier nearest the clients). `yield_price(l)` prices the slice's
+/// yield over link `l`; `fetch_suffix(t)` prices the object's origin
+/// fetch down to tier `t`. `scratch` is caller-owned so the per-slice
+/// decision walk allocates nothing once warm.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_slice_tiered(
     index: usize,
@@ -408,12 +386,12 @@ pub(crate) fn serve_slice_tiered(
     server: ServerId,
     raw_yield: Bytes,
     size: Bytes,
-    tiers: &mut [TierState<'_>],
+    tiers: &mut [&mut dyn CachePolicy],
     faults: Option<&FaultPlan<'_>>,
-    yield_price: &dyn Fn(usize) -> Bytes,
-    fetch_suffix: &dyn Fn(usize) -> Bytes,
+    yield_price: impl Fn(usize) -> Bytes,
+    fetch_suffix: impl Fn(usize) -> Bytes,
     scratch: &mut Vec<(Access, Decision)>,
-    emit: &mut dyn FnMut(&CostEvent<'_>),
+    mut emit: impl FnMut(&CostEvent<'_>),
 ) {
     let depth = tiers.len();
     // Phase 1: the decision walk, bottom-up until a Hit or Load resolves
@@ -430,7 +408,7 @@ pub(crate) fn serve_slice_tiered(
             size,
             fetch_cost: fetch_suffix(t),
         };
-        let decision = tier.policy.on_access(&access);
+        let decision = tier.on_access(&access);
         let resolved = !decision.is_bypass();
         scratch.push((access, decision));
         if resolved {
@@ -467,7 +445,7 @@ pub(crate) fn serve_slice_tiered(
     let wasted = if failed_attempts == 0 {
         Bytes::ZERO
     } else {
-        let downstream: Bytes = (0..top).map(yield_price).sum();
+        let downstream: Bytes = (0..top).map(&yield_price).sum();
         let nominal = match resolution {
             Some(Decision::Hit) => downstream,
             Some(Decision::Load { .. }) => downstream + fetch_suffix(top),
@@ -503,7 +481,7 @@ pub(crate) fn serve_slice_tiered(
             failed: 0,
             degraded: 0,
             decision: Some(decision),
-            policy: Some(&*tier.policy),
+            policy: Some(&**tier),
         };
         if t < top {
             // Inner bypass: the slice passed through on its way up; when
@@ -552,15 +530,21 @@ pub(crate) fn serve_slice_tiered(
     }
 }
 
-/// Replay a whole trace through a tier hierarchy (the uncompiled tiered
-/// runner). Emits the full observer protocol per query but does *not*
-/// call [`Observer::finish`]: per-tier audit observers need their own
-/// tier's policy at finish time, so the caller closes the observers out.
-pub(crate) fn replay_tiered(
+/// Replay a whole trace through a tier hierarchy the uncompiled way:
+/// per query, [`decompose`] against the catalog and price every link
+/// through the topology, then resolve each slice with the shared tier
+/// walk. This is the tiered oracle the equivalence suites hold the
+/// chunked kernel to; no session runs it. `tiers` holds one policy per
+/// topology tier, bottom-up.
+///
+/// Emits the full observer protocol per query but does *not* call
+/// [`Observer::finish`]: a per-tier audit observer needs its own tier's
+/// policy at finish time, so the caller closes the observers out.
+pub fn replay_tiered(
     trace: &Trace,
     objects: &ObjectCatalog,
     topology: &crate::network::Topology,
-    tiers: &mut [TierState<'_>],
+    tiers: &mut [&mut dyn CachePolicy],
     faults: Option<&FaultPlan<'_>>,
     observers: &mut [&mut dyn Observer],
 ) {
@@ -584,10 +568,10 @@ pub(crate) fn replay_tiered(
                 info.size,
                 tiers,
                 faults,
-                &|l| topology.link_price(l, server, raw_yield),
-                &|t| topology.fetch_suffix(t, server, fetch),
+                |l| topology.link_price(l, server, raw_yield),
+                |t| topology.fetch_suffix(t, server, fetch),
                 &mut scratch,
-                &mut |event| {
+                |event| {
                     for obs in observers.iter_mut().take(access_count) {
                         obs.on_access(event);
                     }
@@ -600,13 +584,16 @@ pub(crate) fn replay_tiered(
     }
 }
 
-/// The decision→cost kernel shared by the simulator, the mediator, the
-/// semantic baseline, and the sweeps.
+/// The per-query engine: resolves each query against the catalog and
+/// prices it through a [`NetworkModel`] as it goes, with no compilation
+/// step. The mediator and the semantic baseline serve queries through
+/// it one at a time; [`ReplayEngine::replay`] is the flat uncompiled
+/// oracle the equivalence suites hold the chunked kernel
+/// ([`crate::stream`]) to.
 ///
 /// An engine is a stateless view over an [`ObjectCatalog`] and a
 /// [`NetworkModel`]; all replay state lives in the policy and the
-/// observers, so one engine can serve any number of replays (including
-/// concurrently, as the sweep does).
+/// observers, so one engine can serve any number of replays.
 pub struct ReplayEngine<'a> {
     objects: &'a ObjectCatalog,
     network: &'a dyn NetworkModel,
@@ -834,7 +821,8 @@ impl<'a> ReplayEngine<'a> {
 
     /// Replay a whole trace: every query through [`Self::serve_query`]
     /// (the query index is the policy clock), then `finish` on every
-    /// observer with the policy attached.
+    /// observer with the policy attached. This is the flat uncompiled
+    /// oracle; sessions replay through the chunked kernel instead.
     pub fn replay(
         &self,
         trace: &Trace,
@@ -988,7 +976,7 @@ impl CostObserver {
     }
 
     /// Begin a query window (the trace-free core of `on_query_start`,
-    /// shared with the compiled fast path).
+    /// shared with the kernel's report sink).
     pub(crate) fn start_query(&mut self) {
         self.queries += 1;
         self.failed_this_query = 0;
@@ -1002,6 +990,43 @@ impl CostObserver {
         self.degraded_this_query += event.degraded;
     }
 
+    /// Settle one fault-free, single-tier decision straight into the
+    /// window: the report sink's specialization of `slice_event` +
+    /// [`Self::absorb`]. Every field written here sums exactly what that
+    /// pair would add for a fault-free event, in the same order, so the
+    /// report stays bit-identical (the equivalence suites pin it).
+    pub(crate) fn settle(&mut self, slice: &CompiledSlice, decision: &Decision) {
+        let w = &mut self.window;
+        w.delivered += slice.raw_yield;
+        match decision {
+            Decision::Hit => {
+                w.hits += 1;
+                w.cache_served += slice.raw_yield;
+            }
+            Decision::Bypass => {
+                w.bypasses += 1;
+                w.bypass_served += slice.raw_yield;
+                w.bypass_cost += slice.priced_yield;
+            }
+            Decision::Load { evictions } => {
+                w.loads += 1;
+                w.evictions += evictions.len() as u64;
+                w.fetch_cost += slice.priced_fetch;
+                w.cache_served += slice.raw_yield;
+            }
+        }
+    }
+
+    /// Failed and degraded slices of the in-flight query.
+    pub(crate) fn query_faults(&self) -> (u64, u64) {
+        (self.failed_this_query, self.degraded_this_query)
+    }
+
+    /// The accumulated window.
+    pub(crate) fn window(&self) -> &QueryWindow {
+        &self.window
+    }
+
     /// Close a query window, folding slice faults into per-query counts
     /// (the core of `on_query_end`): a query with any failed slice
     /// surfaced an error to the client; one that only degraded still
@@ -1011,6 +1036,26 @@ impl CostObserver {
             self.failed_queries += 1;
         } else if self.degraded_this_query > 0 {
             self.degraded_queries += 1;
+        }
+    }
+
+    /// An observer over an already-merged window and per-query fault
+    /// rollup (the sharded replay's cross-shard merge).
+    pub(crate) fn merged(
+        policy: &str,
+        trace: &str,
+        granularity: &str,
+        queries: usize,
+        window: QueryWindow,
+        failed_queries: u64,
+        degraded_queries: u64,
+    ) -> Self {
+        CostObserver {
+            queries,
+            window,
+            failed_queries,
+            degraded_queries,
+            ..CostObserver::new(policy, trace, granularity)
         }
     }
 

@@ -9,21 +9,27 @@
 //! (`D_A = D_S + D_C`) regardless of caching configuration, an invariant
 //! every [`session::ReplaySession`] run checks.
 //!
-//! * [`engine`] — the one replay kernel: [`engine::ReplayEngine`] turns
-//!   `TraceQuery → Access → Decision` into [`engine::CostEvent`]s that
-//!   composable [`engine::Observer`]s consume. Every other entry point
-//!   is a composition over it.
-//! * [`compiled`] — the hot path: a [`compiled::CompiledTrace`] hoists
-//!   catalog resolution and network pricing into a one-time compilation
-//!   pass, flattening every query into a contiguous slice arena;
-//!   replaying it is allocation- and lookup-free, with cost reports
-//!   bit-identical to the uncompiled engine.
+//! * [`stream`] — the replay kernel: a [`stream::ChunkCompiler`]
+//!   hoists catalog resolution and network pricing into per-chunk
+//!   [`stream::CompiledChunk`] arenas, and one chunk-walking loop
+//!   replays them — in-memory or off a trace file, flat or tiered,
+//!   faulted or not, observed or not, whole or sharded across worker
+//!   threads — with cost reports bit-identical to the uncompiled
+//!   engine.
+//! * [`compiled`] — the arena's slice record ([`compiled::CompiledSlice`])
+//!   and [`compiled::CompiledTrace`], a whole trace compiled as one
+//!   chunk (what a sweep shares across its grid).
+//! * [`engine`] — the event model: [`engine::CostEvent`]s that
+//!   composable [`engine::Observer`]s consume, the decision→cost
+//!   conversions, and the per-query [`engine::ReplayEngine`] the
+//!   mediator serves through; with [`engine::replay_tiered`] it is the
+//!   uncompiled oracle the equivalence suites hold the kernel to.
 //! * [`session`] — the one replay entry point:
-//!   [`session::ReplaySession`] is a fluent builder over the engine that
-//!   configures policy, network pricing, faults, auditing, series
+//!   [`session::ReplaySession`] is a fluent builder that configures
+//!   policy, network pricing or topology, faults, auditing, series
 //!   capture, and extra observers, then [`session::ReplaySession::run`]s
-//!   one replay or [`session::ReplaySession::sweep`]s a
-//!   (policy × cache-size) grid in parallel.
+//!   one replay through the kernel or [`session::ReplaySession::sweep`]s
+//!   a (policy × cache-size) grid in parallel over one compiled arena.
 //! * [`network`] — first-class WAN pricing: [`network::NetworkModel`]
 //!   with the [`network::Uniform`] (BYU) and
 //!   [`network::PerServerMultipliers`] (BYHR) regimes, and
@@ -68,11 +74,11 @@ pub mod stream;
 pub mod sweep;
 
 pub use accounting::CostReport;
-pub use compiled::{CompiledSlice, CompiledTopology, CompiledTrace};
+pub use compiled::{CompiledSlice, CompiledTrace};
 pub use engine::{
-    AuditObserver, CostEvent, CostObserver, FlightRecorder, Observer, PerServerObserver,
-    PerTierObserver, Postmortem, QueryWindow, RecordedEvent, ReplayEngine, SeriesObserver,
-    ServerCosts, TierState,
+    replay_tiered, AuditObserver, CostEvent, CostObserver, FlightRecorder, Observer,
+    PerServerObserver, PerTierObserver, Postmortem, QueryWindow, RecordedEvent, ReplayEngine,
+    SeriesObserver, ServerCosts,
 };
 pub use faults::{
     spiked_cost, DegradationPolicy, FaultModel, FaultPlan, FetchAttempt, FetchOutcome,

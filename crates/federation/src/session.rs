@@ -1,11 +1,9 @@
 //! [`ReplaySession`]: the one fluent entry point to every replay shape.
 //!
-//! `byc-federation` used to accrete a free function per replay variant —
-//! `replay`, `replay_with_series`, `replay_audited`,
-//! `replay_with_options`, `replay_with_observers`, plus the sweep pair
-//! and the mediator's `_with` twin. Nine entry points, each a different
-//! subset of the same six knobs. This module collapses them into one
-//! builder:
+//! A session configures one replay of one trace — policy, network
+//! pricing or tier topology, faults, auditing, series capture, extra
+//! observers — and then either [`ReplaySession::run`]s it or
+//! [`ReplaySession::sweep`]s a (policy × cache-size) grid over it:
 //!
 //! ```text
 //! ReplaySession::new(&trace, &objects)
@@ -18,25 +16,22 @@
 //!     .audited()                    // default: debug builds only
 //!     .series(100)                  // default: no series capture
 //!     .run()?                       // -> Replay
-//! ```
 //!
-//! The sweep terminal reuses the same configuration across a whole
-//! (policy × cache-fraction) grid described by one
-//! [`SweepOptions`] value:
-//!
-//! ```text
 //! ReplaySession::new(&trace, &objects)
 //!     .network(&net)
 //!     .faults(&model)
 //!     .sweep(SweepOptions::new(&policies, &fractions, &demands, seed))?
 //! ```
 //!
-//! Streaming sessions replay out-of-core:
-//! `ReplaySession::from_reader(&mut reader, &objects)` (or `.streaming()`
-//! on an in-memory trace) pulls, compiles, and replays fixed-size chunks;
-//! `.shards(&mut sharded)` additionally fans the replay out across one
-//! worker thread per object-range shard with a bit-identical merged
-//! report (see DESIGN.md §17).
+//! Every run goes through one driver over the chunked kernel in
+//! [`crate::stream`]: it validates the configuration once, picks a
+//! chunk source (a [`TraceReader`] via [`ReplaySession::from_reader`],
+//! windows over a resident trace, or the sweep's whole-trace arena),
+//! replays inline or fans out to one worker per shard
+//! ([`ReplaySession::shards`]), and closes out with one protocol: each
+//! tier's audit against its own tier's policy, every other observer
+//! against the site tier's. Chunking never changes a report; it only
+//! bounds memory (see DESIGN.md §17).
 //!
 //! Configuration errors (no policy before `run`, a policy before
 //! `sweep`) surface as [`byc_types::Error::InvalidConfig`] — the crate
@@ -44,29 +39,23 @@
 
 #[cfg(test)]
 use crate::accounting::CostReport;
-use crate::compiled::{CompiledTopology, CompiledTrace};
-use crate::engine::{
-    replay_tiered, AuditObserver, CostObserver, FlightRecorder, Observer, ReplayEngine,
-    SeriesObserver, TierState,
-};
+use crate::compiled::CompiledTrace;
+use crate::engine::{CostObserver, FlightRecorder, Observer, SeriesObserver};
 use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RETRY};
 use crate::network::{NetworkModel, Topology};
 use crate::policies::{build_policy, PolicyKind};
 use crate::simulator::{debug_assert_audit, Replay};
-use crate::stream::{self, ChunkCompiler, ChunkSource};
+use crate::stream::{
+    close_out, fan_out, tier_audits, ChunkCompiler, Feed, Lane, ReportSink, ShardObserve,
+    DEFAULT_CHUNK,
+};
 use crate::sweep::{SweepOptions, SweepPoint};
 use byc_catalog::ObjectCatalog;
-use byc_core::audit::AuditReport;
 use byc_core::policy::CachePolicy;
 use byc_core::shard::ShardedPolicy;
 use byc_core::static_opt::ObjectDemand;
 use byc_types::{Error, Result};
 use byc_workload::{Trace, TraceReader};
-
-/// Default queries per chunk on the streaming path: large enough to
-/// amortize channel traffic, small enough that a few in-flight chunks
-/// stay far below any trace worth streaming.
-const DEFAULT_CHUNK: usize = 4096;
 
 /// A configured replay over one trace and object view. See the module
 /// docs for the grammar; terminals are [`ReplaySession::run`] and
@@ -81,15 +70,15 @@ pub struct ReplaySession<'a> {
     degradation: DegradationPolicy,
     audit: Option<bool>,
     sample_every: Option<usize>,
-    compiled: bool,
-    streaming: bool,
-    chunk_size: Option<usize>,
-    compiled_trace: Option<&'a CompiledTrace>,
+    /// Queries per compiled chunk (`usize::MAX`: the whole trace).
+    chunk_size: usize,
+    /// The sweep's compile-once seam: a whole-trace arena to replay
+    /// instead of compiling chunks.
+    arena: Option<&'a CompiledTrace>,
     topology: Option<&'a Topology>,
-    compiled_topology: Option<&'a CompiledTopology>,
     tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
     sharded: Vec<&'a mut ShardedPolicy>,
-    shard_observe: Option<&'a dyn Fn(usize) -> Box<dyn Observer + Send + 'a>>,
+    shard_observe: Option<ShardObserve<'a>>,
     policy: Option<&'a mut dyn CachePolicy>,
     observers: Vec<&'a mut dyn Observer>,
     flight_recorder: Option<usize>,
@@ -100,8 +89,8 @@ impl std::fmt::Debug for ReplaySession<'_> {
         f.debug_struct("ReplaySession")
             .field("trace", &self.trace.map(|t| t.name.as_str()))
             .field("reader", &self.reader.as_ref().map(|r| r.name()))
-            .field("streaming", &self.streaming)
             .field("chunk_size", &self.chunk_size)
+            .field("arena", &self.arena.map(CompiledTrace::queries))
             .field("sharded", &self.sharded.len())
             .field("network", &self.network.name())
             .field("faults", &self.faults.map(FaultModel::name))
@@ -109,13 +98,22 @@ impl std::fmt::Debug for ReplaySession<'_> {
             .field("degradation", &self.degradation)
             .field("audit", &self.audit)
             .field("sample_every", &self.sample_every)
-            .field("compiled", &self.compiled)
             .field("topology", &self.topology.map(Topology::name))
             .field("tier_policies", &self.tier_policies.len())
             .field("observers", &self.observers.len())
             .field("flight_recorder", &self.flight_recorder)
             .finish_non_exhaustive()
     }
+}
+
+/// The policies a validated run drives.
+enum Stack<'a> {
+    /// One policy per tier (the flat network is the one-tier case),
+    /// replayed on the calling thread.
+    Inline(Vec<&'a mut dyn CachePolicy>),
+    /// One sharded policy per tier, all under the same plan: one worker
+    /// per shard.
+    Sharded(Vec<&'a mut ShardedPolicy>),
 }
 
 impl<'a> ReplaySession<'a> {
@@ -128,13 +126,10 @@ impl<'a> ReplaySession<'a> {
 
     /// A session streaming queries off `reader` instead of an in-memory
     /// trace: chunks are pulled, compiled, and replayed as they arrive,
-    /// so memory stays constant in the trace length. Implies
-    /// [`Self::streaming`]; the sweep terminal (which replays the trace
-    /// once per grid point) is unavailable.
+    /// so memory stays constant in the trace length. The sweep terminal
+    /// (which replays the trace once per grid point) is unavailable.
     pub fn from_reader(reader: &'a mut TraceReader, objects: &'a ObjectCatalog) -> Self {
-        let mut session = Self::build(None, Some(reader), objects);
-        session.streaming = true;
-        session
+        Self::build(None, Some(reader), objects)
     }
 
     fn build(
@@ -152,12 +147,9 @@ impl<'a> ReplaySession<'a> {
             degradation: DegradationPolicy::default(),
             audit: None,
             sample_every: None,
-            compiled: false,
-            streaming: false,
-            chunk_size: None,
-            compiled_trace: None,
+            chunk_size: DEFAULT_CHUNK,
+            arena: None,
             topology: None,
-            compiled_topology: None,
             tier_policies: Vec::new(),
             sharded: Vec::new(),
             shard_observe: None,
@@ -167,31 +159,48 @@ impl<'a> ReplaySession<'a> {
         }
     }
 
-    /// Replay in chunks through the incremental [`ChunkCompiler`]
-    /// instead of materializing one monolithic compiled arena: the
-    /// out-of-core path. Cost reports are bit-identical to the
-    /// in-memory paths; reader-backed sessions stream unconditionally.
+    /// Compile and replay in chunks of the default size (4096 queries),
+    /// the default for every session.
     #[must_use]
-    pub fn streaming(mut self) -> Self {
-        self.streaming = true;
+    pub fn streaming(self) -> Self {
+        self.chunk_size(DEFAULT_CHUNK)
+    }
+
+    /// Queries per compiled chunk (default 4096; clamped to at least 1).
+    /// Smaller chunks tighten the memory bound, larger ones amortize
+    /// per-chunk dispatch; reports are bit-identical at every size.
+    #[must_use]
+    pub fn chunk_size(mut self, queries: usize) -> Self {
+        self.chunk_size = queries.max(1);
         self
     }
 
-    /// Queries per chunk on the streaming path (default 4096; clamped
-    /// to at least 1). Smaller chunks tighten the memory bound, larger
-    /// ones amortize per-chunk dispatch.
+    /// Compile the whole trace as one chunk before replaying it, the
+    /// way a sweep does. Reports are bit-identical to chunked replay.
     #[must_use]
-    pub fn chunk_size(mut self, queries: usize) -> Self {
-        self.chunk_size = Some(queries.max(1));
+    pub fn compiled(self) -> Self {
+        self.chunk_size(usize::MAX)
+    }
+
+    /// Replay the whole-trace arena `arena` instead of compiling: the
+    /// compile-once seam that lets one compilation serve many replays
+    /// (every sweep job shares one). `arena` must be compiled from this
+    /// session's trace and object view under its network (or topology);
+    /// [`Self::run`] rejects an arena whose query or tier count does
+    /// not match.
+    #[must_use]
+    pub fn precompiled(mut self, arena: &'a CompiledTrace) -> Self {
+        self.arena = Some(arena);
         self
     }
 
     /// Replay through a [`ShardedPolicy`], one worker thread per shard
-    /// (repeatable; implies [`Self::streaming`]). Flat sessions take
-    /// exactly one; tiered sessions one per tier, bottom-up, all under
-    /// the same [`ShardPlan`](byc_core::ShardPlan). Per-shard windows
-    /// merge in fixed shard order, so the report is bit-identical to
-    /// driving the same sharded policy sequentially. Incompatible with
+    /// (repeatable). Flat sessions take exactly one; tiered sessions
+    /// one per tier, bottom-up, all under the same
+    /// [`ShardPlan`](byc_core::ShardPlan). Per-shard windows merge in
+    /// fixed shard order, so the report is bit-identical to driving the
+    /// same sharded policy sequentially — but not to an unsharded
+    /// policy, whose capacity is not split. Incompatible with
     /// `.policy()`/`.tier_policy()` and with whole-stream observers
     /// (`.observe()`, `.series()`, `.flight_recorder()`); per-shard
     /// observers attach via [`Self::shard_observe`].
@@ -219,8 +228,7 @@ impl<'a> ReplaySession<'a> {
     /// per tier: whenever a query fails or degrades, the recorder
     /// snapshots an annotated [`Postmortem`](crate::engine::Postmortem)
     /// into [`Replay::postmortems`], stamped with the session's fault
-    /// configuration. Forces the observed (slow) path, like any
-    /// observer.
+    /// configuration.
     #[must_use]
     pub fn flight_recorder(mut self, depth: usize) -> Self {
         self.flight_recorder = Some(depth.max(1));
@@ -257,7 +265,7 @@ impl<'a> ReplaySession<'a> {
     }
 
     /// Resolve WAN transfers through a fault model (default: none — the
-    /// exact fault-free engine path).
+    /// exact fault-free path).
     #[must_use]
     pub fn faults(mut self, model: &'a dyn FaultModel) -> Self {
         self.faults = Some(model);
@@ -280,7 +288,7 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Ride an extra [`Observer`] on the engine pass (repeatable). The
+    /// Ride an extra [`Observer`] on the replay (repeatable). The
     /// observer sees exactly the event stream that produces the returned
     /// [`Replay`], so its totals cannot drift from the report.
     #[must_use]
@@ -312,27 +320,6 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Replay through a [`CompiledTrace`]: catalog resolution and network
-    /// pricing happen once, in a compilation pass, instead of per access
-    /// per replay. Cost reports are bit-identical to the uncompiled path
-    /// (both funnel through the same decision→cost conversion); when no
-    /// series, audit, or extra observers are configured the replay runs
-    /// the fully allocation-free fast path. Sweep terminals compile the
-    /// trace once and share it across all worker threads.
-    #[must_use]
-    pub fn compiled(mut self) -> Self {
-        self.compiled = true;
-        self
-    }
-
-    /// Replay through an already-compiled trace (the sweep's
-    /// compile-once seam). The caller guarantees `compiled` was built
-    /// from this session's trace, objects, and network.
-    fn with_compiled(mut self, compiled: &'a CompiledTrace) -> Self {
-        self.compiled_trace = Some(compiled);
-        self
-    }
-
     /// Replay over a tier hierarchy instead of the flat client↔server
     /// WAN: every link is priced by the topology (superseding
     /// [`Self::network`]), each caching tier runs its own policy, and a
@@ -355,253 +342,118 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Replay through an already-compiled topology (the tiered sweep's
-    /// compile-once seam). The caller guarantees `compiled` was built
-    /// from this session's trace, objects, and topology.
-    fn with_compiled_topology(mut self, compiled: &'a CompiledTopology) -> Self {
-        self.compiled_topology = Some(compiled);
-        self
-    }
-
-    fn engine(&self) -> ReplayEngine<'a> {
-        let engine = ReplayEngine::with_network(self.objects, self.network);
-        match self.faults {
-            Some(model) => engine.with_faults(FaultPlan {
-                model,
-                retry: self.retry,
-                degradation: self.degradation,
-            }),
-            None => engine,
-        }
-    }
-
     /// Replay the trace through the configured policy (or, with
-    /// [`Self::topology`], through the configured tier hierarchy).
+    /// [`Self::topology`], through the configured tier hierarchy; or,
+    /// with [`Self::shards`], through one worker per shard).
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when no policy was configured, or when
-    /// the tiered configuration is inconsistent (a flat `.policy(...)`
-    /// alongside a topology, or a tier-policy count that does not match
-    /// the topology's depth).
+    /// the configuration is inconsistent (a flat `.policy(...)`
+    /// alongside a topology, a tier-policy or sharded-policy count that
+    /// does not match the topology's depth, sharded policies mixed with
+    /// plain ones or with whole-stream observers, or an arena that does
+    /// not match the trace); IO and format errors from a reader.
     pub fn run(self) -> Result<Replay> {
-        if self.streaming || self.reader.is_some() || !self.sharded.is_empty() {
-            return self.run_streamed();
-        }
-        if self.topology.is_some() {
-            return self.run_tiered();
-        }
-        if !self.tier_policies.is_empty() {
-            return Err(Error::InvalidConfig(
-                "tier policies need a topology; call .topology(...) before .tier_policy(...)"
-                    .into(),
-            ));
-        }
-        let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
-        let engine = self.engine();
+        let audit = self.audit.unwrap_or(cfg!(debug_assertions));
         let fault_context = self.fault_context();
-        let Some(resident) = self.trace else {
-            // Unreachable: reader-backed sessions dispatched to the
-            // streaming path above.
-            return Err(Error::InvalidConfig(
-                "in-memory replay needs a trace; reader-backed sessions stream".into(),
-            ));
-        };
-        // Compile here (before destructuring) when asked to and no
-        // pre-compiled trace was injected by a sweep.
-        let compiled_owned = (self.compiled && self.compiled_trace.is_none())
-            .then(|| CompiledTrace::compile(resident, self.objects, self.network));
-        let ReplaySession {
-            objects,
-            sample_every,
-            compiled_trace,
-            policy,
-            mut observers,
-            flight_recorder,
-            ..
-        } = self;
-        let trace = resident;
-        let compiled = compiled_trace.or(compiled_owned.as_ref());
-        let Some(policy) = policy else {
-            return Err(Error::InvalidConfig(
-                "ReplaySession::run needs a policy; call .policy(...) first \
-                 (or use a sweep terminal, which builds its own)"
-                    .into(),
-            ));
-        };
-        // The allocation-free fast path: a compiled trace with nothing to
-        // observe accumulates its report inline, no observer dispatch.
-        if let Some(compiled) = compiled {
-            if observers.is_empty()
-                && sample_every.is_none()
-                && !audit_enabled
-                && flight_recorder.is_none()
-            {
-                let report = compiled.replay_report(policy, engine.faults().copied());
-                debug_assert!(report.conserves_delivery());
-                return Ok(Replay {
-                    report,
-                    series: Vec::new(),
-                    audit: None,
-                    warnings: Vec::new(),
-                    postmortems: Vec::new(),
-                });
-            }
-        }
-        let mut cost = CostObserver::new(policy.name(), &trace.name, objects.granularity().label());
-        let mut series = sample_every.map(SeriesObserver::new);
-        let mut audit = audit_enabled.then(AuditObserver::new);
-        let mut recorder =
-            flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
-        let mut warnings = Vec::new();
-        {
-            let mut all: Vec<&mut dyn Observer> = Vec::with_capacity(4 + observers.len());
-            all.push(&mut cost);
-            if let Some(series) = series.as_mut() {
-                all.push(series);
-            }
-            if let Some(audit) = audit.as_mut() {
-                all.push(audit);
-            }
-            if let Some(recorder) = recorder.as_mut() {
-                all.push(recorder);
-            }
-            for obs in observers.iter_mut() {
-                all.push(&mut **obs);
-            }
-            match compiled {
-                Some(compiled) => {
-                    compiled.replay_observed(trace, policy, engine.faults().copied(), &mut all);
-                }
-                None => engine.replay(trace, policy, &mut all),
-            }
-            // The kernels have called finish; drain every observer's
-            // warnings (parked IO errors, recorder truncation) while the
-            // borrows are still alive.
-            for obs in all.iter_mut() {
-                warnings.extend(obs.warnings());
-            }
-        }
-        let report = cost.into_report();
-        debug_assert!(report.conserves_delivery());
-        Ok(Replay {
-            report,
-            series: series.map(SeriesObserver::into_series).unwrap_or_default(),
-            audit: audit.map(AuditObserver::into_report),
-            warnings,
-            postmortems: recorder
-                .map(FlightRecorder::into_postmortems)
-                .unwrap_or_default(),
-        })
-    }
-
-    /// The tiered terminal behind [`Self::run`]: same observer protocol
-    /// and fast-path structure as the flat run, with one policy (and one
-    /// audit) per tier and the topology pricing every link.
-    fn run_tiered(self) -> Result<Replay> {
-        let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
-        let fault_context = self.fault_context();
-        let fault_plan = self.faults.map(|model| FaultPlan {
+        let faults = self.faults.map(|model| FaultPlan {
             model,
             retry: self.retry,
             degradation: self.degradation,
         });
-        let Some(resident) = self.trace else {
-            // Unreachable: reader-backed sessions dispatched to the
-            // streaming path before run_tiered.
-            return Err(Error::InvalidConfig(
-                "in-memory replay needs a trace; reader-backed sessions stream".into(),
-            ));
-        };
-        let compiled_owned = match (
-            self.compiled && self.compiled_topology.is_none(),
-            self.topology,
-        ) {
-            (true, Some(topology)) => {
-                Some(CompiledTopology::compile(resident, self.objects, topology))
-            }
-            _ => None,
-        };
+        let whole_stream = !self.observers.is_empty()
+            || self.sample_every.is_some()
+            || self.flight_recorder.is_some();
         let ReplaySession {
+            trace,
+            reader,
             objects,
+            network,
             sample_every,
+            chunk_size,
+            arena,
             topology,
-            compiled_topology,
-            mut tier_policies,
+            tier_policies,
+            sharded,
+            shard_observe,
             policy,
             mut observers,
             flight_recorder,
             ..
         } = self;
-        let trace = resident;
-        let Some(topology) = topology else {
-            // Unreachable: run() only dispatches here with a topology set.
-            return Err(Error::InvalidConfig("run_tiered without a topology".into()));
-        };
-        if policy.is_some() {
-            return Err(Error::InvalidConfig(
-                "tiered sessions take one policy per tier via .tier_policy(...); \
-                 don't call .policy(...) alongside .topology(...)"
-                    .into(),
-            ));
-        }
-        if tier_policies.len() != topology.depth() {
-            return Err(Error::InvalidConfig(format!(
-                "topology {} has {} tiers but {} tier policies were configured",
-                topology.name(),
-                topology.depth(),
-                tier_policies.len()
-            )));
-        }
-        let compiled = compiled_topology.or(compiled_owned.as_ref());
-        let mut tiers: Vec<TierState<'_>> = topology
-            .tiers()
-            .iter()
-            .zip(tier_policies.iter_mut())
-            .map(|(spec, policy)| TierState {
-                name: spec.name.as_str(),
-                policy: &mut **policy,
-            })
-            .collect();
-
-        // The allocation-free fast path, mirroring the flat run().
-        if let Some(compiled) = compiled {
-            if observers.is_empty()
-                && sample_every.is_none()
-                && !audit_enabled
-                && flight_recorder.is_none()
+        let stack = validate(topology, policy, tier_policies, sharded, whole_stream)?;
+        let depth = topology.map_or(1, Topology::depth);
+        let feed = match (reader, trace, arena) {
+            (Some(reader), None, None) => Feed::Reader {
+                reader,
+                chunk: chunk_size,
+            },
+            (None, Some(trace), None) => Feed::Memory {
+                trace,
+                chunk: chunk_size,
+            },
+            (None, Some(trace), Some(arena))
+                if arena.queries() == trace.len() && arena.tiers() == depth =>
             {
-                let report = compiled.replay_report(&mut tiers, fault_plan.as_ref());
-                debug_assert!(report.conserves_delivery());
+                Feed::Compiled { trace, arena }
+            }
+            _ => {
+                return Err(Error::InvalidConfig(
+                    "a precompiled arena must be compiled from the session's resident trace \
+                     at the session's tier depth"
+                        .into(),
+                ))
+            }
+        };
+        let mut compiler = match topology {
+            Some(topology) => ChunkCompiler::tiered(objects, topology),
+            None => ChunkCompiler::flat(objects, network),
+        };
+
+        let stack = match stack {
+            Stack::Inline(stack) => stack,
+            Stack::Sharded(mut tiers) => {
+                let label = tiers
+                    .first()
+                    .map(|s| s.name().to_string())
+                    .unwrap_or_default();
+                let outcome = fan_out(
+                    feed,
+                    &mut compiler,
+                    &mut tiers,
+                    label,
+                    faults,
+                    audit,
+                    shard_observe,
+                )?;
+                debug_assert!(outcome.report.conserves_delivery());
                 return Ok(Replay {
-                    report,
+                    report: outcome.report,
                     series: Vec::new(),
-                    audit: None,
-                    warnings: Vec::new(),
+                    audit: outcome.audit,
+                    warnings: outcome.warnings,
                     postmortems: Vec::new(),
                 });
             }
-        }
+        };
 
-        let label = tiers
-            .first()
-            .map(|t| t.policy.name().to_string())
-            .unwrap_or_default();
-        let mut cost = CostObserver::new(&label, &trace.name, objects.granularity().label());
+        let label = stack.first().map(|p| p.name()).unwrap_or_default();
+        let report = ReportSink::new(
+            CostObserver::new(label, feed.name(), compiler.granularity()),
+            false,
+        );
         let mut series = sample_every.map(SeriesObserver::new);
-        let mut audits: Vec<AuditObserver> = if audit_enabled {
-            (0..tiers.len())
-                .map(|t| AuditObserver::for_tier(u32::try_from(t).unwrap_or(u32::MAX)))
-                .collect()
+        let mut audits = if audit {
+            tier_audits(depth)
         } else {
             Vec::new()
         };
         let mut recorder =
             flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
-        {
+        let (stack, cost) = {
             let mut all: Vec<&mut dyn Observer> =
-                Vec::with_capacity(3 + audits.len() + observers.len());
-            all.push(&mut cost);
+                Vec::with_capacity(2 + audits.len() + observers.len());
             if let Some(series) = series.as_mut() {
                 all.push(series);
             }
@@ -614,49 +466,31 @@ impl<'a> ReplaySession<'a> {
             for obs in observers.iter_mut() {
                 all.push(&mut **obs);
             }
-            match compiled {
-                Some(compiled) => {
-                    compiled.replay_observed(trace, &mut tiers, fault_plan.as_ref(), &mut all);
-                }
-                None => replay_tiered(
-                    trace,
-                    objects,
-                    topology,
-                    &mut tiers,
-                    fault_plan.as_ref(),
-                    &mut all,
-                ),
-            }
-        }
-        // Close the observers out. The tiered kernels leave `finish` to
-        // this caller because each tier's audit must deep-check against
-        // its *own* tier's policy; every other observer sees the site
-        // tier's, matching the flat protocol.
-        for (audit, tier) in audits.iter_mut().zip(tiers.iter()) {
-            audit.finish(Some(&*tier.policy));
-        }
-        let site: Option<&dyn CachePolicy> = tiers.first().map(|t| &*t.policy as &dyn CachePolicy);
-        cost.finish(site);
+            let mut lane = Lane::new(stack, None, report, all);
+            feed.drive(&mut compiler, |chunk, queries| {
+                lane.replay(&chunk, Some(queries), faults.as_ref());
+                true
+            })?;
+            let (stack, cost, _) = lane.into_parts();
+            (stack, cost)
+        };
+        let mut others: Vec<&mut dyn Observer> = Vec::with_capacity(2 + observers.len());
         if let Some(series) = series.as_mut() {
-            series.finish(site);
+            others.push(series);
         }
         if let Some(recorder) = recorder.as_mut() {
-            recorder.finish(site);
-        }
-        let mut warnings = Vec::new();
-        if let Some(recorder) = recorder.as_mut() {
-            warnings.extend(recorder.warnings());
+            others.push(recorder);
         }
         for obs in observers.iter_mut() {
-            obs.finish(site);
-            warnings.extend(obs.warnings());
+            others.push(&mut **obs);
         }
+        let (audit, warnings) = close_out(&stack, audits, &mut others);
         let report = cost.into_report();
         debug_assert!(report.conserves_delivery());
         Ok(Replay {
             report,
             series: series.map(SeriesObserver::into_series).unwrap_or_default(),
-            audit: merge_audits(audits.into_iter().map(AuditObserver::into_report)),
+            audit,
             warnings,
             postmortems: recorder
                 .map(FlightRecorder::into_postmortems)
@@ -664,319 +498,19 @@ impl<'a> ReplaySession<'a> {
         })
     }
 
-    /// The streaming terminal behind [`Self::run`]: chunked, out-of-core
-    /// replay through the incremental [`ChunkCompiler`], optionally
-    /// sharded across one worker thread per shard. Reports are
-    /// bit-identical to the corresponding in-memory replay.
-    fn run_streamed(self) -> Result<Replay> {
-        let audit_enabled = self.audit.unwrap_or(cfg!(debug_assertions));
-        let fault_context = self.fault_context();
-        let chunk_size = self.chunk_size.unwrap_or(DEFAULT_CHUNK);
-        let fault_plan = self.faults.map(|model| FaultPlan {
-            model,
-            retry: self.retry,
-            degradation: self.degradation,
-        });
-        let ReplaySession {
-            trace,
-            reader,
-            objects,
-            network,
-            sample_every,
-            topology,
-            compiled_trace,
-            compiled_topology,
-            mut tier_policies,
-            mut sharded,
-            shard_observe,
-            policy,
-            mut observers,
-            flight_recorder,
-            ..
-        } = self;
-        if compiled_trace.is_some() || compiled_topology.is_some() {
-            // Unreachable: the pre-compiled seams are sweep-internal and
-            // sweeps reject streaming sessions.
-            return Err(Error::InvalidConfig(
-                "streaming replay compiles incrementally; pre-compiled arenas are in-memory only"
-                    .into(),
-            ));
-        }
-        let (mut source, trace_name) = match (reader, trace) {
-            (Some(reader), _) => {
-                let name = reader.name().to_string();
-                (ChunkSource::Reader(reader), name)
-            }
-            (None, Some(trace)) => (ChunkSource::Memory { trace, at: 0 }, trace.name.clone()),
-            (None, None) => {
-                // Unreachable: every constructor sets a trace or a reader.
-                return Err(Error::InvalidConfig(
-                    "streaming replay needs a trace or a reader".into(),
-                ));
-            }
-        };
-
-        // Sharded terminal: one worker per shard, per-shard observers
-        // only, merged deterministically in fixed shard order.
-        if !sharded.is_empty() {
-            if policy.is_some() || !tier_policies.is_empty() {
-                return Err(Error::InvalidConfig(
-                    "sharded replay drives the ShardedPolicy instances passed via .shards(...); \
-                     don't mix in .policy(...) or .tier_policy(...)"
-                        .into(),
-                ));
-            }
-            if !observers.is_empty() || sample_every.is_some() || flight_recorder.is_some() {
-                return Err(Error::InvalidConfig(
-                    "sharded replay takes per-shard observers via .shard_observe(...); \
-                     whole-stream observers (.observe/.series/.flight_recorder) don't apply"
-                        .into(),
-                ));
-            }
-            let outcome = match topology {
-                Some(topo) => {
-                    if sharded.len() != topo.depth() {
-                        return Err(Error::InvalidConfig(format!(
-                            "topology {} has {} tiers but {} sharded policies were configured",
-                            topo.name(),
-                            topo.depth(),
-                            sharded.len()
-                        )));
-                    }
-                    let plan = sharded.first().map(|s| s.plan());
-                    if sharded.iter().any(|s| Some(s.plan()) != plan) {
-                        return Err(Error::InvalidConfig(
-                            "sharded tiered replay needs every tier sharded under the same \
-                             ShardPlan"
-                                .into(),
-                        ));
-                    }
-                    let mut compiler = ChunkCompiler::tiered(objects, topo);
-                    stream::replay_sharded_tiered(
-                        &mut source,
-                        &mut compiler,
-                        chunk_size,
-                        &mut sharded,
-                        topo,
-                        &trace_name,
-                        fault_plan,
-                        audit_enabled,
-                        shard_observe,
-                    )?
-                }
-                None => {
-                    let [single] = sharded.as_mut_slice() else {
-                        return Err(Error::InvalidConfig(format!(
-                            "flat sharded replay takes exactly one ShardedPolicy, got {} \
-                             (tiered sessions pass one per tier with .topology(...))",
-                            sharded.len()
-                        )));
-                    };
-                    let mut compiler = ChunkCompiler::flat(objects, network);
-                    stream::replay_sharded(
-                        &mut source,
-                        &mut compiler,
-                        chunk_size,
-                        single,
-                        &trace_name,
-                        fault_plan,
-                        audit_enabled,
-                        shard_observe,
-                    )?
-                }
-            };
-            debug_assert!(outcome.report.conserves_delivery());
-            return Ok(Replay {
-                report: outcome.report,
-                series: Vec::new(),
-                audit: outcome.audit,
-                warnings: outcome.warnings,
-                postmortems: Vec::new(),
-            });
-        }
-
-        // Single-threaded streamed replay with the full observer
-        // protocol; the chunked kernels leave `finish` to this caller.
-        match topology {
-            None => {
-                if !tier_policies.is_empty() {
-                    return Err(Error::InvalidConfig(
-                        "tier policies need a topology; call .topology(...) before \
-                         .tier_policy(...)"
-                            .into(),
-                    ));
-                }
-                let Some(policy) = policy else {
-                    return Err(Error::InvalidConfig(
-                        "ReplaySession::run needs a policy; call .policy(...) first \
-                         (or .shards(...) for sharded replay)"
-                            .into(),
-                    ));
-                };
-                let mut cost =
-                    CostObserver::new(policy.name(), &trace_name, objects.granularity().label());
-                let mut series = sample_every.map(SeriesObserver::new);
-                let mut audit = audit_enabled.then(AuditObserver::new);
-                let mut recorder =
-                    flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
-                let mut warnings = Vec::new();
-                {
-                    let mut all: Vec<&mut dyn Observer> = Vec::with_capacity(4 + observers.len());
-                    all.push(&mut cost);
-                    if let Some(series) = series.as_mut() {
-                        all.push(series);
-                    }
-                    if let Some(audit) = audit.as_mut() {
-                        all.push(audit);
-                    }
-                    if let Some(recorder) = recorder.as_mut() {
-                        all.push(recorder);
-                    }
-                    for obs in observers.iter_mut() {
-                        all.push(&mut **obs);
-                    }
-                    let mut compiler = ChunkCompiler::flat(objects, network);
-                    stream::replay_chunked(
-                        &mut source,
-                        &mut compiler,
-                        chunk_size,
-                        &mut *policy,
-                        fault_plan,
-                        &mut all,
-                    )?;
-                    let site: Option<&dyn CachePolicy> = Some(&*policy);
-                    for obs in all.iter_mut() {
-                        obs.finish(site);
-                        warnings.extend(obs.warnings());
-                    }
-                }
-                let report = cost.into_report();
-                debug_assert!(report.conserves_delivery());
-                Ok(Replay {
-                    report,
-                    series: series.map(SeriesObserver::into_series).unwrap_or_default(),
-                    audit: audit.map(AuditObserver::into_report),
-                    warnings,
-                    postmortems: recorder
-                        .map(FlightRecorder::into_postmortems)
-                        .unwrap_or_default(),
-                })
-            }
-            Some(topo) => {
-                if policy.is_some() {
-                    return Err(Error::InvalidConfig(
-                        "tiered sessions take one policy per tier via .tier_policy(...); \
-                         don't call .policy(...) alongside .topology(...)"
-                            .into(),
-                    ));
-                }
-                if tier_policies.len() != topo.depth() {
-                    return Err(Error::InvalidConfig(format!(
-                        "topology {} has {} tiers but {} tier policies were configured",
-                        topo.name(),
-                        topo.depth(),
-                        tier_policies.len()
-                    )));
-                }
-                let mut tiers: Vec<TierState<'_>> = topo
-                    .tiers()
-                    .iter()
-                    .zip(tier_policies.iter_mut())
-                    .map(|(spec, policy)| TierState {
-                        name: spec.name.as_str(),
-                        policy: &mut **policy,
-                    })
-                    .collect();
-                let label = tiers
-                    .first()
-                    .map(|t| t.policy.name().to_string())
-                    .unwrap_or_default();
-                let mut cost =
-                    CostObserver::new(&label, &trace_name, objects.granularity().label());
-                let mut series = sample_every.map(SeriesObserver::new);
-                let mut audits: Vec<AuditObserver> = if audit_enabled {
-                    (0..tiers.len())
-                        .map(|t| AuditObserver::for_tier(u32::try_from(t).unwrap_or(u32::MAX)))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mut recorder =
-                    flight_recorder.map(|k| FlightRecorder::new(k).with_context(fault_context));
-                {
-                    let mut all: Vec<&mut dyn Observer> =
-                        Vec::with_capacity(3 + audits.len() + observers.len());
-                    all.push(&mut cost);
-                    if let Some(series) = series.as_mut() {
-                        all.push(series);
-                    }
-                    for audit in audits.iter_mut() {
-                        all.push(audit);
-                    }
-                    if let Some(recorder) = recorder.as_mut() {
-                        all.push(recorder);
-                    }
-                    for obs in observers.iter_mut() {
-                        all.push(&mut **obs);
-                    }
-                    let mut compiler = ChunkCompiler::tiered(objects, topo);
-                    stream::replay_chunked_tiered(
-                        &mut source,
-                        &mut compiler,
-                        chunk_size,
-                        &mut tiers,
-                        fault_plan.as_ref(),
-                        &mut all,
-                    )?;
-                }
-                // Same close-out as run_tiered: each tier's audit
-                // deep-checks its own tier's policy, everything else
-                // sees the site tier's.
-                for (audit, tier) in audits.iter_mut().zip(tiers.iter()) {
-                    audit.finish(Some(&*tier.policy));
-                }
-                let site: Option<&dyn CachePolicy> =
-                    tiers.first().map(|t| &*t.policy as &dyn CachePolicy);
-                cost.finish(site);
-                if let Some(series) = series.as_mut() {
-                    series.finish(site);
-                }
-                let mut warnings = Vec::new();
-                if let Some(recorder) = recorder.as_mut() {
-                    recorder.finish(site);
-                    warnings.extend(recorder.warnings());
-                }
-                for obs in observers.iter_mut() {
-                    obs.finish(site);
-                    warnings.extend(obs.warnings());
-                }
-                let report = cost.into_report();
-                debug_assert!(report.conserves_delivery());
-                Ok(Replay {
-                    report,
-                    series: series.map(SeriesObserver::into_series).unwrap_or_default(),
-                    audit: merge_audits(audits.into_iter().map(AuditObserver::into_report)),
-                    warnings,
-                    postmortems: recorder
-                        .map(FlightRecorder::into_postmortems)
-                        .unwrap_or_default(),
-                })
-            }
-        }
-    }
-
     /// Replay every (policy, cache-fraction) pair of
     /// [`SweepOptions`]' grid in parallel under this session's
-    /// network/fault/audit configuration. Results are ordered by policy
-    /// then fraction; per-job observers configured via
+    /// network/fault/audit configuration. The trace is compiled once
+    /// and every job replays the shared arena. Results are ordered by
+    /// policy then fraction; per-job observers configured via
     /// [`SweepOptions::observe`] land in their sink in the same order.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when a policy or extra observers were
     /// configured (sweeps build their own per job), when the session
-    /// streams or shards (sweeps replay one in-memory trace), or when a
-    /// fraction is not positive.
+    /// reads from a file or shards (sweeps replay one in-memory trace),
+    /// or when a fraction is not positive.
     pub fn sweep<O: Observer + Send>(
         self,
         options: SweepOptions<'_, O>,
@@ -1006,8 +540,8 @@ impl<'a> ReplaySession<'a> {
     }
 
     /// The shared sweep implementation. With `make_observer: None` the
-    /// jobs carry no observer, so a [`Self::compiled`] sweep runs every
-    /// replay on the allocation-free fast path.
+    /// jobs carry no observer, so every replay runs the report-only
+    /// sink.
     fn sweep_inner<O: Observer + Send>(
         self,
         policies: &[PolicyKind],
@@ -1037,10 +571,10 @@ impl<'a> ReplaySession<'a> {
                     .into(),
             ));
         }
-        if self.reader.is_some() || self.streaming || !self.sharded.is_empty() {
+        if self.reader.is_some() || !self.sharded.is_empty() {
             return Err(Error::InvalidConfig(
                 "sweeps replay one in-memory trace across the whole grid; \
-                 streaming and sharded sessions cannot sweep"
+                 reader-backed and sharded sessions cannot sweep"
                     .into(),
             ));
         }
@@ -1060,7 +594,6 @@ impl<'a> ReplaySession<'a> {
             degradation,
             audit,
             sample_every,
-            compiled,
             topology,
             ..
         } = self;
@@ -1082,14 +615,11 @@ impl<'a> ReplaySession<'a> {
         // Compile once, replay many: every (policy, fraction) job shares
         // one immutable arena instead of re-resolving and re-pricing the
         // trace per replay.
-        let compiled_trace = (compiled && topology.is_none())
-            .then(|| CompiledTrace::compile(trace, objects, network));
-        let compiled_trace = compiled_trace.as_ref();
-        let compiled_topology = match (compiled, topology) {
-            (true, Some(t)) => Some(CompiledTopology::compile(trace, objects, t)),
-            _ => None,
+        let arena = match topology {
+            Some(topo) => ChunkCompiler::tiered(objects, topo).compile(&trace.queries),
+            None => ChunkCompiler::flat(objects, network).compile(&trace.queries),
         };
-        let compiled_topology = compiled_topology.as_ref();
+        let arena = &arena;
 
         let results: Result<Vec<(SweepPoint, Option<O>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = jobs
@@ -1102,6 +632,7 @@ impl<'a> ReplaySession<'a> {
                         let mut flat_policy: Option<Box<dyn CachePolicy + Send + Sync>> = None;
                         let mut tier_boxes: Vec<Box<dyn CachePolicy + Send + Sync>>;
                         let mut session = ReplaySession::new(trace, objects)
+                            .precompiled(arena)
                             .retry(retry)
                             .degrade(degradation);
                         match topology {
@@ -1122,17 +653,11 @@ impl<'a> ReplaySession<'a> {
                                 for p in tier_boxes.iter_mut() {
                                     session = session.tier_policy(p.as_mut());
                                 }
-                                if let Some(ct) = compiled_topology {
-                                    session = session.with_compiled_topology(ct);
-                                }
                             }
                             None => {
                                 let policy =
                                     flat_policy.insert(build_policy(kind, capacity, demands, seed));
                                 session = session.network(network).policy(policy.as_mut());
-                                if let Some(ct) = compiled_trace {
-                                    session = session.with_compiled(ct);
-                                }
                             }
                         }
                         if let Some(obs) = observer.as_mut() {
@@ -1175,24 +700,97 @@ impl<'a> ReplaySession<'a> {
     }
 }
 
-/// Merge per-tier audit reports into one session-level report: counters
-/// and served-byte tallies sum, violation excerpts concatenate (the
-/// exact count lives in `violation_count`).
-pub(crate) fn merge_audits(reports: impl Iterator<Item = AuditReport>) -> Option<AuditReport> {
-    reports.reduce(|mut acc, r| {
-        acc.accesses += r.accesses;
-        acc.hits += r.hits;
-        acc.bypasses += r.bypasses;
-        acc.loads += r.loads;
-        acc.evictions += r.evictions;
-        acc.cache_served += r.cache_served;
-        acc.bypass_served += r.bypass_served;
-        acc.load_cost += r.load_cost;
-        acc.deep_checks += r.deep_checks;
-        acc.violation_count += r.violation_count;
-        acc.violations.extend(r.violations);
-        acc
-    })
+/// Check the policy configuration once and settle what the run drives:
+/// one policy per tier inline, or one sharded policy per tier fanned
+/// out.
+fn validate<'a>(
+    topology: Option<&Topology>,
+    policy: Option<&'a mut dyn CachePolicy>,
+    tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
+    sharded: Vec<&'a mut ShardedPolicy>,
+    whole_stream: bool,
+) -> Result<Stack<'a>> {
+    let depth = topology.map_or(1, Topology::depth);
+    if !sharded.is_empty() {
+        if policy.is_some() || !tier_policies.is_empty() {
+            return Err(Error::InvalidConfig(
+                "sharded replay drives the ShardedPolicy instances passed via .shards(...); \
+                 don't mix in .policy(...) or .tier_policy(...)"
+                    .into(),
+            ));
+        }
+        if whole_stream {
+            return Err(Error::InvalidConfig(
+                "sharded replay takes per-shard observers via .shard_observe(...); \
+                 whole-stream observers (.observe/.series/.flight_recorder) don't apply"
+                    .into(),
+            ));
+        }
+        if sharded.len() != depth {
+            return Err(Error::InvalidConfig(match topology {
+                Some(topo) => format!(
+                    "topology {} has {} tiers but {} sharded policies were configured",
+                    topo.name(),
+                    depth,
+                    sharded.len()
+                ),
+                None => format!(
+                    "flat sharded replay takes exactly one ShardedPolicy, got {} \
+                     (tiered sessions pass one per tier with .topology(...))",
+                    sharded.len()
+                ),
+            }));
+        }
+        let plan = sharded.first().map(|s| s.plan());
+        if sharded.iter().any(|s| Some(s.plan()) != plan) {
+            return Err(Error::InvalidConfig(
+                "sharded tiered replay needs every tier sharded under the same ShardPlan".into(),
+            ));
+        }
+        return Ok(Stack::Sharded(sharded));
+    }
+    match topology {
+        None => {
+            if !tier_policies.is_empty() {
+                return Err(Error::InvalidConfig(
+                    "tier policies need a topology; call .topology(...) before .tier_policy(...)"
+                        .into(),
+                ));
+            }
+            match policy {
+                Some(policy) => Ok(Stack::Inline(vec![policy])),
+                None => Err(Error::InvalidConfig(
+                    "ReplaySession::run needs a policy; call .policy(...) first \
+                     (or .shards(...) for sharded replay, or a sweep terminal, which \
+                     builds its own)"
+                        .into(),
+                )),
+            }
+        }
+        Some(topo) => {
+            if policy.is_some() {
+                return Err(Error::InvalidConfig(
+                    "tiered sessions take one policy per tier via .tier_policy(...); \
+                     don't call .policy(...) alongside .topology(...)"
+                        .into(),
+                ));
+            }
+            if tier_policies.len() != depth {
+                return Err(Error::InvalidConfig(format!(
+                    "topology {} has {} tiers but {} tier policies were configured",
+                    topo.name(),
+                    depth,
+                    tier_policies.len()
+                )));
+            }
+            Ok(Stack::Inline(
+                tier_policies
+                    .into_iter()
+                    .map(|p| p as &mut dyn CachePolicy)
+                    .collect(),
+            ))
+        }
+    }
 }
 
 /// One-shot replay returning just the report (test helper).
@@ -1215,7 +813,7 @@ pub(crate) fn run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{PerTierObserver, QueryWindow};
+    use crate::engine::{replay_tiered, AuditObserver, PerTierObserver, QueryWindow, ReplayEngine};
     use crate::faults::{FlakyLinks, LinkScoped, NoFaults, Outage, OutageWindows};
     use crate::network::{PerServerMultipliers, Uniform};
     use byc_catalog::sdss::{build, SdssRelease};
@@ -1230,6 +828,24 @@ mod tests {
         let trace = generate(&cat, &WorkloadConfig::smoke(43, queries)).unwrap();
         let objects = ObjectCatalog::uniform(&cat, Granularity::Column);
         (trace, objects)
+    }
+
+    /// The flat uncompiled oracle: [`ReplayEngine::replay`] into a bare
+    /// [`CostObserver`].
+    fn oracle(
+        trace: &Trace,
+        objects: &ObjectCatalog,
+        network: &dyn NetworkModel,
+        faults: Option<FaultPlan<'_>>,
+        policy: &mut dyn CachePolicy,
+    ) -> CostReport {
+        let mut engine = ReplayEngine::with_network(objects, network);
+        if let Some(plan) = faults {
+            engine = engine.with_faults(plan);
+        }
+        let mut cost = CostObserver::new(policy.name(), &trace.name, objects.granularity().label());
+        engine.replay(trace, policy, &mut [&mut cost]);
+        cost.into_report()
     }
 
     #[test]
@@ -1469,22 +1085,21 @@ mod tests {
         let net = PerServerMultipliers::new(vec![1.0, 2.0]).unwrap();
         let kinds = [PolicyKind::Gds, PolicyKind::RateProfile];
         let fractions = [0.2, 0.4];
-        let run = |compiled: bool| {
-            let mut session = ReplaySession::new(&trace, &objects).network(&net);
-            if compiled {
-                session = session.compiled();
-            }
-            session
-                .sweep(SweepOptions::new(&kinds, &fractions, &stats.demands, 3))
-                .unwrap()
-        };
-        let reference = run(false);
-        let fast = run(true);
-        assert_eq!(reference.len(), fast.len());
-        for (r, f) in reference.iter().zip(fast.iter()) {
-            assert_eq!(r.policy, f.policy);
-            assert_eq!(r.cache_fraction, f.cache_fraction);
-            assert_eq!(r.report, f.report, "{}@{}", r.policy, r.cache_fraction);
+        let points = ReplaySession::new(&trace, &objects)
+            .network(&net)
+            .sweep(SweepOptions::new(&kinds, &fractions, &stats.demands, 3))
+            .unwrap();
+        assert_eq!(points.len(), kinds.len() * fractions.len());
+        for (point, (kind, fraction)) in points.iter().zip(
+            kinds
+                .iter()
+                .flat_map(|k| fractions.iter().map(move |f| (*k, *f))),
+        ) {
+            assert_eq!(point.policy, kind.label());
+            assert_eq!(point.cache_fraction, fraction);
+            let mut policy = build_policy(kind, point.capacity, &stats.demands, 3);
+            let reference = oracle(&trace, &objects, &net, None, policy.as_mut());
+            assert_eq!(point.report, reference, "{}@{}", point.policy, fraction);
         }
     }
 
@@ -1492,25 +1107,33 @@ mod tests {
     fn compiled_run_with_series_and_audit_matches_reference() {
         let (trace, objects) = setup(2, 500);
         let cap = objects.total_size().scale(0.3);
-        let run = |compiled: bool| {
+        let mut p = RateProfile::new(cap, RateProfileConfig::default());
+        let mut cost = CostObserver::new(p.name(), &trace.name, "column");
+        let mut series = SeriesObserver::new(64);
+        let mut audit = AuditObserver::new();
+        ReplayEngine::new(&objects).replay(
+            &trace,
+            &mut p,
+            &mut [&mut cost, &mut series, &mut audit],
+        );
+        let reference_series = series.into_series();
+        let reference_audit = audit.into_report();
+        for chunk in [7, DEFAULT_CHUNK, usize::MAX] {
             let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            let mut session = ReplaySession::new(&trace, &objects)
+            let fast = ReplaySession::new(&trace, &objects)
                 .policy(&mut p)
                 .audited()
-                .series(64);
-            if compiled {
-                session = session.compiled();
-            }
-            session.run().unwrap()
-        };
-        let reference = run(false);
-        let fast = run(true);
-        assert_eq!(reference.report, fast.report);
-        assert_eq!(reference.series, fast.series);
-        let (ra, fa) = (reference.audit.unwrap(), fast.audit.unwrap());
-        assert!(ra.is_clean() && fa.is_clean());
-        assert_eq!(ra.accesses, fa.accesses);
-        assert_eq!(ra.deep_checks, fa.deep_checks);
+                .series(64)
+                .chunk_size(chunk)
+                .run()
+                .unwrap();
+            assert_eq!(cost.clone().into_report(), fast.report, "chunk {chunk}");
+            assert_eq!(reference_series, fast.series, "chunk {chunk}");
+            let fa = fast.audit.unwrap();
+            assert!(reference_audit.is_clean() && fa.is_clean());
+            assert_eq!(reference_audit.accesses, fa.accesses);
+            assert_eq!(reference_audit.deep_checks, fa.deep_checks);
+        }
     }
 
     #[test]
@@ -1520,24 +1143,19 @@ mod tests {
         let net = PerServerMultipliers::new(vec![1.0, 2.0]).unwrap();
         let flat = {
             let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            ReplaySession::new(&trace, &objects)
-                .network(&net)
-                .policy(&mut p)
-                .run()
-                .unwrap()
-                .report
+            oracle(&trace, &objects, &net, None, &mut p)
         };
         let topo = Topology::flat(Box::new(PerServerMultipliers::new(vec![1.0, 2.0]).unwrap()));
-        for compiled in [false, true] {
+        for chunk in [1, DEFAULT_CHUNK, usize::MAX] {
             let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            let mut session = ReplaySession::new(&trace, &objects)
+            let tiered = ReplaySession::new(&trace, &objects)
                 .topology(&topo)
-                .tier_policy(&mut p);
-            if compiled {
-                session = session.compiled();
-            }
-            let tiered = session.run().unwrap().report;
-            assert_eq!(flat, tiered, "compiled={compiled}");
+                .tier_policy(&mut p)
+                .chunk_size(chunk)
+                .run()
+                .unwrap()
+                .report;
+            assert_eq!(flat, tiered, "chunk {chunk}");
             assert_eq!(tiered.relay_cost, Bytes::ZERO);
         }
     }
@@ -1549,13 +1167,12 @@ mod tests {
         let model = FlakyLinks::new(7, 0.05, 0.1, 4.0);
         let flat = {
             let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            ReplaySession::new(&trace, &objects)
-                .policy(&mut p)
-                .faults(&model)
-                .retry(RetryPolicy::new(2, 4))
-                .run()
-                .unwrap()
-                .report
+            let plan = FaultPlan {
+                model: &model,
+                retry: RetryPolicy::new(2, 4),
+                degradation: DegradationPolicy::default(),
+            };
+            oracle(&trace, &objects, &Uniform, Some(plan), &mut p)
         };
         let topo = Topology::flat(Box::new(Uniform));
         let mut p = RateProfile::new(cap, RateProfileConfig::default());
@@ -1654,32 +1271,47 @@ mod tests {
         let (trace, objects) = setup(2, 400);
         let stats = WorkloadStats::compute(&trace, &objects);
         let topo = Topology::two_tier(0.25, Box::new(Uniform)).unwrap();
-        let run = |compiled: bool| {
-            let mut session = ReplaySession::new(&trace, &objects).topology(&topo);
-            if compiled {
-                session = session.compiled();
-            }
-            session
-                .sweep(SweepOptions::new(
-                    &[PolicyKind::Gds, PolicyKind::NoCache],
-                    &[0.2, 0.5],
-                    &stats.demands,
-                    3,
-                ))
-                .unwrap()
-        };
-        let reference = run(false);
-        let fast = run(true);
-        assert_eq!(reference.len(), 4);
-        assert_eq!(reference.len(), fast.len());
-        for (r, f) in reference.iter().zip(fast.iter()) {
-            assert_eq!(r.policy, f.policy);
-            assert_eq!(r.report, f.report, "{}@{}", r.policy, r.cache_fraction);
-            assert!(r.report.conserves_delivery());
+        let kinds = [PolicyKind::Gds, PolicyKind::NoCache];
+        let fractions = [0.2, 0.5];
+        let points = ReplaySession::new(&trace, &objects)
+            .topology(&topo)
+            .sweep(SweepOptions::new(&kinds, &fractions, &stats.demands, 3))
+            .unwrap();
+        assert_eq!(points.len(), 4);
+        for point in &points {
+            let kind = kinds
+                .into_iter()
+                .find(|k| k.label() == point.policy)
+                .unwrap();
+            let mut tiers: Vec<_> = topo
+                .tiers()
+                .iter()
+                .map(|spec| {
+                    let cap = objects
+                        .total_size()
+                        .scale(point.cache_fraction * spec.capacity_scale);
+                    build_policy(kind, cap, &stats.demands, 3)
+                })
+                .collect();
+            let name = tiers[0].name();
+            let mut stack: Vec<&mut dyn CachePolicy> = tiers
+                .iter_mut()
+                .map(|p| p.as_mut() as &mut dyn CachePolicy)
+                .collect();
+            let mut cost = CostObserver::new(name, &trace.name, "column");
+            replay_tiered(&trace, &objects, &topo, &mut stack, None, &mut [&mut cost]);
+            assert_eq!(
+                point.report,
+                cost.into_report(),
+                "{}@{}",
+                point.policy,
+                point.cache_fraction
+            );
+            assert!(point.report.conserves_delivery());
         }
         // Two-tier bypasses relay over the inner link: the relay column
         // is live in at least the no-cache rows.
-        assert!(reference.iter().any(|p| p.report.relay_cost > Bytes::ZERO));
+        assert!(points.iter().any(|p| p.report.relay_cost > Bytes::ZERO));
     }
 
     #[test]
@@ -1743,19 +1375,25 @@ mod tests {
         let (trace, objects) = setup(2, 500);
         let cap = objects.total_size().scale(0.3);
         let model = FlakyLinks::new(7, 0.05, 0.1, 4.0);
-        let run = |compiled: bool| {
-            let mut p = RateProfile::new(cap, RateProfileConfig::default());
-            let mut session = ReplaySession::new(&trace, &objects)
-                .policy(&mut p)
-                .faults(&model)
-                .retry(RetryPolicy::new(2, 4))
-                .degrade(DegradationPolicy::Fail)
-                .unaudited();
-            if compiled {
-                session = session.compiled();
-            }
-            session.run().unwrap().report
+        let plan = FaultPlan {
+            model: &model,
+            retry: RetryPolicy::new(2, 4),
+            degradation: DegradationPolicy::Fail,
         };
-        assert_eq!(run(false), run(true));
+        let mut p = RateProfile::new(cap, RateProfileConfig::default());
+        let reference = oracle(&trace, &objects, &Uniform, Some(plan), &mut p);
+        let mut p = RateProfile::new(cap, RateProfileConfig::default());
+        let compiled = ReplaySession::new(&trace, &objects)
+            .policy(&mut p)
+            .faults(&model)
+            .retry(RetryPolicy::new(2, 4))
+            .degrade(DegradationPolicy::Fail)
+            .unaudited()
+            .compiled()
+            .run()
+            .unwrap()
+            .report;
+        assert_eq!(reference, compiled);
+        assert!(reference.failed_queries > 0 || reference.retries > 0);
     }
 }

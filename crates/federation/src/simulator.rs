@@ -42,9 +42,8 @@ pub struct Replay {
     /// The decision-stream audit, when auditing was enabled.
     pub audit: Option<AuditReport>,
     /// Observer warnings collected after the replay finished — parked
-    /// telemetry IO errors, flight-recorder truncation notes. Empty on
-    /// the compiled fast path (which admits no observers) and on clean
-    /// runs.
+    /// telemetry IO errors, flight-recorder truncation notes. Empty
+    /// when no observer rode the replay, and on clean runs.
     pub warnings: Vec<String>,
     /// Fault postmortems, when a flight recorder was attached via
     /// [`ReplaySession::flight_recorder`](crate::session::ReplaySession::flight_recorder).
@@ -128,9 +127,12 @@ mod tests {
             .run()
             .unwrap()
             .report;
+        // The reference is the uncompiled engine, not another session.
         let mut p2 = RateProfile::new(cap, RateProfileConfig::default());
-        let via_reference = session_report(&trace, &objects, &mut p2);
-        assert_eq!(via_compiled, via_reference);
+        let mut cost =
+            crate::engine::CostObserver::new(p2.name(), &trace.name, objects.granularity().label());
+        crate::engine::ReplayEngine::new(&objects).replay(&trace, &mut p2, &mut [&mut cost]);
+        assert_eq!(via_compiled, cost.into_report());
     }
 
     #[test]

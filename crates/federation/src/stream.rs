@@ -1,58 +1,69 @@
-//! Out-of-core streaming replay: chunked trace compilation plus
-//! object-sharded parallel replay.
+//! The replay kernel: chunked compilation, one chunk-walking loop, and
+//! the object-sharded fan-out that runs it on parallel workers.
 //!
-//! [`CompiledTrace`](crate::compiled::CompiledTrace) assumes the whole
-//! trace is resident: one arena, one offset table, one pass. That caps
-//! replayable trace size at available memory. This module removes the
-//! cap in two steps:
+//! Every session replay — in-memory or straight off a trace file, flat
+//! or tiered, fault-free or faulted, observed or not, whole or sharded —
+//! runs the same three steps:
 //!
-//! 1. **Chunked compilation.** A [`ChunkCompiler`] turns successive runs
-//!    of queries — from an in-memory trace or straight off a
-//!    [`byc_workload::TraceReader`] — into per-chunk
-//!    [`CompiledChunk`] arenas. Catalog resolution and fetch pricing are
-//!    memoized per table/column across chunks, so the one-time
-//!    compilation work of the monolithic path stays one-time here too;
-//!    per-slice pricing calls are the same pure functions the monolithic
-//!    compilers invoke, making chunked arenas bit-identical to slices of
-//!    the monolithic ones.
-//!
-//! 2. **Object-sharded parallel replay.** A
-//!    [`byc_core::ShardedPolicy`] partitions policy state
-//!    by object-id range; each shard's instance runs on its own scoped
-//!    worker thread, fed every chunk over a bounded channel and
-//!    processing only the slices its shard owns. Because every policy
-//!    decision depends only on the owning shard's state plus the global
-//!    query clock, and fault outcomes are pure functions of
-//!    (query index, tick, object, server, attempt), the per-shard
-//!    decision streams are exactly the sequential run's — so merging the
-//!    per-shard [`QueryWindow`]s in fixed shard order reproduces the
-//!    sequential [`CostReport`] bit for bit (DESIGN.md §17).
+//! 1. **Compile a chunk.** A [`ChunkCompiler`] turns a run of queries
+//!    into a [`CompiledChunk`]: a slice arena plus per-query offsets,
+//!    with catalog resolution and fetch pricing memoized per
+//!    table/column across chunks, so the one-time work stays one-time.
+//!    On a topology each slice also carries its price over every link
+//!    above the site tier. A `Feed` supplies the chunks: windows over
+//!    a resident trace, chunks pulled off a [`TraceReader`], or the
+//!    sweep's whole trace compiled once up front.
+//! 2. **Walk the chunk.** `CompiledChunk::replay` is the one loop: per query it
+//!    sets the virtual clock, per slice it applies the shard filter and
+//!    resolves the slice through the policy stack, and it emits into a
+//!    `Sink` fixed at compile time. A one-tier stack (a flat network,
+//!    or a one-tier topology) takes the flat conversion; a deeper one
+//!    takes the tier walk. The report sink accumulates the
+//!    [`CostReport`]'s window and settles fault-free one-tier decisions
+//!    in place instead of building an event. The observer sink
+//!    dispatches events to `&mut dyn Observer` after partitioning out
+//!    the query-boundary-only observers.
+//! 3. **Fan out (sharded only).** A [`byc_core::ShardedPolicy`]
+//!    partitions policy state by object-id range. One scoped worker per
+//!    shard runs the same kernel over every chunk, fed over a bounded
+//!    channel, skipping slices it does not own. Decisions depend only on
+//!    the owning shard's state plus the global query clock, and fault
+//!    outcomes are pure functions of (query, tick, object, server,
+//!    attempt), so merging the per-shard windows in fixed shard order
+//!    reproduces the sequential run of the same sharded policy bit for
+//!    bit (DESIGN.md §17).
 //!
 //! Memory stays bounded by the chunk size times a small constant: the
-//! bounded channels hold at most a few chunks in flight, and nothing
-//! ever materializes the whole trace.
+//! bounded channels hold at most a few chunks in flight, and a reader
+//! feed never materializes the whole trace.
 
 use crate::accounting::CostReport;
 use crate::compiled::CompiledSlice;
 use crate::engine::{
-    partition_access_observers, serve_slice_tiered, slice_event, AuditObserver, Observer,
-    QueryWindow, TierState,
+    partition_access_observers, serve_slice_tiered, slice_event, AuditObserver, CostEvent,
+    CostObserver, Observer, QueryWindow,
 };
 use crate::faults::FaultPlan;
 use crate::network::{NetworkModel, Topology};
-use crate::session::merge_audits;
 use byc_catalog::{Granularity, ObjectCatalog};
+use byc_core::access::Access;
 use byc_core::audit::AuditReport;
-use byc_core::policy::CachePolicy;
+use byc_core::policy::{CachePolicy, Decision};
 use byc_core::shard::{ShardPlan, ShardedPolicy};
-use byc_types::{Bytes, ColumnId, Error, ObjectId, Result, ServerId, TableId, Tick};
+use byc_types::{Bytes, ColumnId, ObjectId, Result, ServerId, TableId, Tick};
 use byc_workload::{Trace, TraceQuery, TraceReader};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::borrow::Cow;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
+/// Default queries per chunk: large enough to amortize per-chunk
+/// dispatch and channel traffic, small enough that a few in-flight
+/// chunks stay far below any trace worth streaming.
+pub(crate) const DEFAULT_CHUNK: usize = 4096;
+
 /// Chunks a worker may have queued (per shard) before the producer
-/// blocks: the backpressure bound that keeps streaming replay in
-/// constant memory.
+/// blocks: the backpressure bound that keeps sharded replay in constant
+/// memory.
 const CHANNEL_DEPTH: usize = 2;
 
 /// How the compiler prices WAN traffic: a flat network (one link per
@@ -66,13 +77,13 @@ enum Pricing<'a> {
 /// reused for every later slice of the same reference.
 #[derive(Clone, Copy)]
 enum Slot {
-    /// Never looked up yet.
+    /// Never resolved yet.
     Unknown,
-    /// The catalog could not map this reference to a cacheable object.
+    /// The catalog could not map this reference to a cacheable object
+    /// (never memoized; see `remember`).
     Unresolved,
     /// Arena-ready constants of the object; `fetch_at` indexes the
-    /// compiler's priced-fetch pool (one entry on a flat network, one
-    /// per tier on a topology).
+    /// compiler's priced-fetch pool (one entry per tier).
     Resolved {
         object: ObjectId,
         server: ServerId,
@@ -82,24 +93,28 @@ enum Slot {
 }
 
 /// One chunk's compiled arena: a contiguous run of queries
-/// (`first_query..first_query + queries`) flattened exactly like the
-/// monolithic [`CompiledTrace`](crate::compiled::CompiledTrace) /
-/// [`CompiledTopology`](crate::compiled::CompiledTopology) arenas, with
+/// (`first_query..first_query + queries`) flattened into slices, with
 /// offsets local to the chunk.
+///
+/// A slice's site-tier prices live in the slice itself. On a topology
+/// deeper than one tier, each slice also owns a row of `upper` prices
+/// per table: its yield over links `1..depth` and its origin fetch down
+/// to tiers `1..depth`. A flat network and a one-tier topology compile
+/// to the same table-free arena.
 #[derive(Clone, Debug)]
 pub struct CompiledChunk {
     /// Global index of the chunk's first query.
-    first_query: usize,
+    pub(crate) first_query: usize,
     /// The chunk's slices, in replay order.
-    slices: Vec<CompiledSlice>,
+    pub(crate) slices: Vec<CompiledSlice>,
     /// `offsets[q]..offsets[q + 1]` delimits local query `q`'s slices.
-    offsets: Vec<usize>,
-    /// Row width of the tiered price tables (0 on a flat network).
-    depth: usize,
-    /// Row-major `[slice][link]` yield prices (tiered only).
-    yield_prices: Vec<Bytes>,
-    /// Row-major `[slice][tier]` origin-fetch suffixes (tiered only).
-    fetch_suffixes: Vec<Bytes>,
+    pub(crate) offsets: Vec<usize>,
+    /// Caching tiers above the site tier (the row width of the tables).
+    upper: usize,
+    /// Row-major `[slice][link - 1]` yield prices.
+    upper_yields: Vec<Bytes>,
+    /// Row-major `[slice][tier - 1]` origin-fetch suffixes.
+    upper_fetches: Vec<Bytes>,
 }
 
 impl CompiledChunk {
@@ -117,23 +132,25 @@ impl CompiledChunk {
     pub fn slices(&self) -> &[CompiledSlice] {
         &self.slices
     }
+
+    /// Number of caching tiers the chunk was priced for (1 on a flat
+    /// network).
+    pub fn tiers(&self) -> usize {
+        self.upper.saturating_add(1)
+    }
 }
 
-/// The incremental counterpart of
-/// [`CompiledTrace::compile`](crate::compiled::CompiledTrace::compile)
-/// and
-/// [`CompiledTopology::compile`](crate::compiled::CompiledTopology::compile):
-/// feed it runs of queries as they arrive and get per-chunk arenas
-/// back, with catalog resolution and fetch pricing memoized across
-/// chunks so the one-time compilation work is actually done once.
+/// The incremental compiler behind every replay: feed it runs of
+/// queries as they arrive and get per-chunk arenas back, with catalog
+/// resolution and fetch pricing memoized across chunks so the one-time
+/// compilation work is actually done once.
 pub struct ChunkCompiler<'a> {
     objects: &'a ObjectCatalog,
     pricing: Pricing<'a>,
     tables: Vec<Slot>,
     columns: Vec<Slot>,
     /// Priced-fetch pool the `Slot::Resolved::fetch_at` indexes point
-    /// into: one entry per resolved object on a flat network, `depth`
-    /// consecutive entries on a topology.
+    /// into: one entry per tier per resolved object.
     fetches: Vec<Bytes>,
     next_query: usize,
 }
@@ -171,9 +188,10 @@ impl<'a> ChunkCompiler<'a> {
         self.objects.granularity().label()
     }
 
+    /// Caching tiers priced (1 on a flat network).
     fn depth(&self) -> usize {
         match self.pricing {
-            Pricing::Flat(_) => 0,
+            Pricing::Flat(_) => 1,
             Pricing::Tiered(topology) => topology.depth(),
         }
     }
@@ -186,9 +204,9 @@ impl<'a> ChunkCompiler<'a> {
             first_query: self.next_query,
             slices: Vec::new(),
             offsets: Vec::with_capacity(queries.len().saturating_add(1)),
-            depth: self.depth(),
-            yield_prices: Vec::new(),
-            fetch_suffixes: Vec::new(),
+            upper: self.depth().saturating_sub(1),
+            upper_yields: Vec::new(),
+            upper_fetches: Vec::new(),
         };
         chunk.offsets.push(0);
         for query in queries {
@@ -214,45 +232,35 @@ impl<'a> ChunkCompiler<'a> {
 
     fn table_slot(&mut self, table: TableId) -> Slot {
         let idx = table.index();
-        if self.tables.len() <= idx {
-            self.tables.resize(idx.saturating_add(1), Slot::Unknown);
-        }
         if let Some(&slot) = self.tables.get(idx) {
             if !matches!(slot, Slot::Unknown) {
                 return slot;
             }
         }
-        let slot = match self.objects.object_for_table(table) {
-            Ok(object) => self.resolve(object),
-            Err(_) => Slot::Unresolved,
+        let Ok(object) = self.objects.object_for_table(table) else {
+            return Slot::Unresolved;
         };
-        if let Some(entry) = self.tables.get_mut(idx) {
-            *entry = slot;
-        }
+        let slot = self.resolve(object);
+        remember(&mut self.tables, idx, slot);
         slot
     }
 
     fn column_slot(&mut self, column: ColumnId) -> Slot {
         let idx = column.index();
-        if self.columns.len() <= idx {
-            self.columns.resize(idx.saturating_add(1), Slot::Unknown);
-        }
         if let Some(&slot) = self.columns.get(idx) {
             if !matches!(slot, Slot::Unknown) {
                 return slot;
             }
         }
-        let slot = match self.objects.object_for_column(column) {
-            Ok(object) => self.resolve(object),
-            Err(_) => Slot::Unresolved,
+        let Ok(object) = self.objects.object_for_column(column) else {
+            return Slot::Unresolved;
         };
-        if let Some(entry) = self.columns.get_mut(idx) {
-            *entry = slot;
-        }
+        let slot = self.resolve(object);
+        remember(&mut self.columns, idx, slot);
         slot
     }
 
-    /// Price one object's fetch once, into the pool.
+    /// Price one object's fetch once per tier, into the pool.
     fn resolve(&mut self, object: ObjectId) -> Slot {
         let info = self.objects.info(object);
         let fetch_at = self.fetches.len();
@@ -276,8 +284,8 @@ impl<'a> ChunkCompiler<'a> {
         }
     }
 
-    /// Append one slice (and, on a topology, its price rows) for a
-    /// resolved reference. Unresolved references append nothing.
+    /// Append one slice (and its upper-tier price rows) for a resolved
+    /// reference. Unresolved references append nothing.
     fn push_slice(&self, slot: Slot, raw_yield: Bytes, chunk: &mut CompiledChunk) {
         let Slot::Resolved {
             object,
@@ -288,190 +296,279 @@ impl<'a> ChunkCompiler<'a> {
         else {
             return;
         };
-        match self.pricing {
-            Pricing::Flat(network) => {
-                let priced_fetch = self.fetches.get(fetch_at).copied().unwrap_or(Bytes::ZERO);
-                chunk.slices.push(CompiledSlice {
-                    object,
-                    server,
-                    raw_yield,
-                    priced_yield: network.price(server, raw_yield),
-                    size,
-                    priced_fetch,
-                });
-            }
-            Pricing::Tiered(topology) => {
-                let depth = chunk.depth;
-                for link in 0..depth {
-                    chunk
-                        .yield_prices
-                        .push(topology.link_price(link, server, raw_yield));
-                }
-                let row_f = self
-                    .fetches
-                    .get(fetch_at..fetch_at.saturating_add(depth))
-                    .unwrap_or(&[]);
-                chunk.fetch_suffixes.extend_from_slice(row_f);
-                // Keep the row width exactly `depth` so the replay
-                // loops' `chunks_exact` walks stay aligned (unreachable
-                // by construction; pad defensively rather than skew).
-                for _ in row_f.len()..depth {
-                    chunk.fetch_suffixes.push(Bytes::ZERO);
-                }
-                chunk.slices.push(CompiledSlice {
-                    object,
-                    server,
-                    raw_yield,
-                    priced_yield: topology.link_price(0, server, raw_yield),
-                    size,
-                    priced_fetch: row_f.first().copied().unwrap_or(Bytes::ZERO),
-                });
-            }
-        }
-    }
-}
-
-/// Where streamed queries come from: an in-memory trace walked in
-/// windows, or a [`TraceReader`] pulling chunks off disk.
-pub(crate) enum ChunkSource<'a> {
-    /// Chunked views over a resident trace.
-    Memory { trace: &'a Trace, at: usize },
-    /// Chunks straight off a trace file, never all resident.
-    Reader(&'a mut TraceReader),
-}
-
-/// One run of queries from a [`ChunkSource`]: borrowed from the
-/// resident trace, or owned when they came off disk.
-pub(crate) enum ChunkQueries<'a> {
-    Borrowed(&'a [TraceQuery]),
-    Owned(Vec<TraceQuery>),
-}
-
-impl ChunkQueries<'_> {
-    pub(crate) fn as_slice(&self) -> &[TraceQuery] {
-        match self {
-            ChunkQueries::Borrowed(queries) => queries,
-            ChunkQueries::Owned(queries) => queries,
-        }
-    }
-}
-
-impl<'a> ChunkSource<'a> {
-    /// The next run of at most `max` queries, or `None` at end of
-    /// trace. IO errors come from the reader variant only.
-    pub(crate) fn next(&mut self, max: usize) -> Result<Option<ChunkQueries<'a>>> {
-        match self {
-            ChunkSource::Memory { trace, at } => {
-                let len = trace.queries.len();
-                if *at >= len {
-                    return Ok(None);
-                }
-                let end = at.saturating_add(max.max(1)).min(len);
-                let out = trace.queries.get(*at..end).unwrap_or(&[]);
-                *at = end;
-                Ok(Some(ChunkQueries::Borrowed(out)))
-            }
-            ChunkSource::Reader(reader) => {
-                let chunk = reader.next_chunk(max)?;
-                if chunk.is_empty() {
-                    Ok(None)
-                } else {
-                    Ok(Some(ChunkQueries::Owned(chunk)))
-                }
-            }
-        }
-    }
-}
-
-/// Chunked, single-threaded replay with the full observer protocol:
-/// the streaming counterpart of
-/// [`CompiledTrace::replay_observed`](crate::compiled::CompiledTrace::replay_observed),
-/// with query indices (and so telemetry window clocks) global across
-/// chunk boundaries. Does *not* call [`Observer::finish`]; the caller
-/// closes the observers out.
-pub(crate) fn replay_chunked(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    policy: &mut dyn CachePolicy,
-    faults: Option<FaultPlan<'_>>,
-    observers: &mut [&mut dyn Observer],
-) -> Result<usize> {
-    let access_count = partition_access_observers(observers);
-    let mut queries = 0usize;
-    loop {
-        let Some(chunk_queries) = source.next(chunk_size)? else {
-            return Ok(queries);
+        let fetch = |tier: usize| {
+            fetch_at
+                .checked_add(tier)
+                .and_then(|at| self.fetches.get(at))
+                .copied()
+                .unwrap_or(Bytes::ZERO)
         };
-        let qs = chunk_queries.as_slice();
-        let chunk = compiler.compile(qs);
-        for ((qi, query), bounds) in qs.iter().enumerate().zip(chunk.offsets.windows(2)) {
-            let &[start, end] = bounds else { continue };
-            let index = chunk.first_query.saturating_add(qi);
-            let time = Tick::new(index as u64);
-            for obs in observers.iter_mut() {
+        let priced_yield = match self.pricing {
+            Pricing::Flat(network) => network.price(server, raw_yield),
+            Pricing::Tiered(topology) => {
+                // Exactly `upper` entries per row, so a slice's rows stay
+                // aligned with its arena index.
+                for tier in 1..=chunk.upper {
+                    chunk
+                        .upper_yields
+                        .push(topology.link_price(tier, server, raw_yield));
+                    chunk.upper_fetches.push(fetch(tier));
+                }
+                topology.link_price(0, server, raw_yield)
+            }
+        };
+        chunk.slices.push(CompiledSlice {
+            object,
+            server,
+            raw_yield,
+            priced_yield,
+            size,
+            priced_fetch: fetch(0),
+        });
+    }
+}
+
+/// Memoize a resolved reference. Only references the catalog resolves
+/// grow the table, so its size stays bounded by the schema: an
+/// out-of-catalog id from an untrusted trace costs one failed lookup
+/// per occurrence, never an allocation.
+fn remember(memo: &mut Vec<Slot>, idx: usize, slot: Slot) {
+    if memo.len() <= idx {
+        memo.resize(idx.saturating_add(1), Slot::Unknown);
+    }
+    if let Some(entry) = memo.get_mut(idx) {
+        *entry = slot;
+    }
+}
+
+/// Where the kernel emits: fixed per call site at compile time, so the
+/// report-only replay carries no dynamic dispatch per slice.
+trait Sink {
+    /// A query is about to be served (`query` is `None` on sharded
+    /// workers, which see compiled arenas only).
+    fn start_query(&mut self, index: usize, query: Option<&TraceQuery>);
+
+    /// One slice event of the tier walk.
+    fn event(&mut self, event: &CostEvent<'_>);
+
+    /// The query's last slice was served.
+    fn end_query(&mut self, index: usize, query: Option<&TraceQuery>);
+
+    /// A decision on a one-tier stack. By default it becomes the flat
+    /// [`slice_event`]; the report sink overrides the fault-free case
+    /// to settle the decision split in place.
+    #[allow(clippy::too_many_arguments)]
+    fn settle(
+        &mut self,
+        index: usize,
+        slice: &CompiledSlice,
+        access: &Access,
+        decision: &Decision,
+        policy: &dyn CachePolicy,
+        faults: Option<&FaultPlan<'_>>,
+    ) {
+        self.event(&flat_event(index, slice, access, decision, policy, faults));
+    }
+}
+
+/// The flat conversion of one compiled slice's decision.
+fn flat_event<'e>(
+    index: usize,
+    slice: &CompiledSlice,
+    access: &'e Access,
+    decision: &'e Decision,
+    policy: &'e dyn CachePolicy,
+    faults: Option<&FaultPlan<'_>>,
+) -> CostEvent<'e> {
+    slice_event(
+        index,
+        access.time,
+        slice.raw_yield,
+        slice.server,
+        access,
+        decision,
+        policy,
+        faults,
+        || slice.priced_yield,
+    )
+}
+
+impl<S: Sink + ?Sized> Sink for &mut S {
+    fn start_query(&mut self, index: usize, query: Option<&TraceQuery>) {
+        (**self).start_query(index, query);
+    }
+
+    fn event(&mut self, event: &CostEvent<'_>) {
+        (**self).event(event);
+    }
+
+    fn end_query(&mut self, index: usize, query: Option<&TraceQuery>) {
+        (**self).end_query(index, query);
+    }
+
+    fn settle(
+        &mut self,
+        index: usize,
+        slice: &CompiledSlice,
+        access: &Access,
+        decision: &Decision,
+        policy: &dyn CachePolicy,
+        faults: Option<&FaultPlan<'_>>,
+    ) {
+        (**self).settle(index, slice, access, decision, policy, faults);
+    }
+}
+
+/// Both sinks see every call; a settled decision becomes one event
+/// shared by both.
+impl<A: Sink, B: Sink> Sink for (A, B) {
+    fn start_query(&mut self, index: usize, query: Option<&TraceQuery>) {
+        self.0.start_query(index, query);
+        self.1.start_query(index, query);
+    }
+
+    fn event(&mut self, event: &CostEvent<'_>) {
+        self.0.event(event);
+        self.1.event(event);
+    }
+
+    fn end_query(&mut self, index: usize, query: Option<&TraceQuery>) {
+        self.0.end_query(index, query);
+        self.1.end_query(index, query);
+    }
+}
+
+/// The report sink: the replay's [`CostObserver`] plus, on faulted
+/// sharded workers, the per-query (failed, degraded) slice counts the
+/// cross-shard fault rollup needs.
+pub(crate) struct ReportSink {
+    cost: CostObserver,
+    pairs: Option<Vec<(u32, u32)>>,
+}
+
+impl ReportSink {
+    /// A sink headed with the given report labels, tracking per-query
+    /// fault pairs when `track_pairs`.
+    pub(crate) fn new(cost: CostObserver, track_pairs: bool) -> Self {
+        ReportSink {
+            cost,
+            pairs: track_pairs.then(Vec::new),
+        }
+    }
+}
+
+impl Sink for ReportSink {
+    fn start_query(&mut self, _index: usize, _query: Option<&TraceQuery>) {
+        self.cost.start_query();
+    }
+
+    fn event(&mut self, event: &CostEvent<'_>) {
+        self.cost.absorb(event);
+    }
+
+    fn end_query(&mut self, _index: usize, _query: Option<&TraceQuery>) {
+        if let Some(pairs) = self.pairs.as_mut() {
+            let (failed, degraded) = self.cost.query_faults();
+            pairs.push((
+                u32::try_from(failed).unwrap_or(u32::MAX),
+                u32::try_from(degraded).unwrap_or(u32::MAX),
+            ));
+        }
+        self.cost.end_query();
+    }
+
+    fn settle(
+        &mut self,
+        index: usize,
+        slice: &CompiledSlice,
+        access: &Access,
+        decision: &Decision,
+        policy: &dyn CachePolicy,
+        faults: Option<&FaultPlan<'_>>,
+    ) {
+        match faults {
+            None => self.cost.settle(slice, decision),
+            Some(_) => {
+                self.cost
+                    .absorb(&flat_event(index, slice, access, decision, policy, faults));
+            }
+        }
+    }
+}
+
+/// The observer sink: query hooks to every observer (when the query is
+/// at hand), slice events to the access-wanting prefix only.
+struct ObserverSink<'s, 'o> {
+    observers: &'s mut [&'o mut dyn Observer],
+    /// Length of the prefix that wants per-access events.
+    access: usize,
+}
+
+impl Sink for ObserverSink<'_, '_> {
+    fn start_query(&mut self, index: usize, query: Option<&TraceQuery>) {
+        if let Some(query) = query {
+            for obs in self.observers.iter_mut() {
                 obs.on_query_start(index, query);
             }
-            for slice in chunk.slices.get(start..end).unwrap_or(&[]) {
-                let access = slice.access(time);
-                let decision = policy.on_access(&access);
-                let event = slice_event(
-                    index,
-                    time,
-                    slice.raw_yield,
-                    slice.server,
-                    &access,
-                    &decision,
-                    &*policy,
-                    faults.as_ref(),
-                    || slice.priced_yield,
-                );
-                for obs in observers.iter_mut().take(access_count) {
-                    obs.on_access(&event);
-                }
-            }
-            for obs in observers.iter_mut() {
+        }
+    }
+
+    fn event(&mut self, event: &CostEvent<'_>) {
+        for obs in self.observers.iter_mut().take(self.access) {
+            obs.on_access(event);
+        }
+    }
+
+    fn end_query(&mut self, index: usize, query: Option<&TraceQuery>) {
+        if let Some(query) = query {
+            for obs in self.observers.iter_mut() {
                 obs.on_query_end(index, query);
             }
         }
-        queries = queries.saturating_add(chunk.queries());
     }
 }
 
-/// Tiered twin of [`replay_chunked`]: every slice funnels through
-/// [`serve_slice_tiered`] with the chunk's precomputed price rows. Does
-/// not call [`Observer::finish`].
-pub(crate) fn replay_chunked_tiered(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    tiers: &mut [TierState<'_>],
-    faults: Option<&FaultPlan<'_>>,
-    observers: &mut [&mut dyn Observer],
-) -> Result<usize> {
-    let access_count = partition_access_observers(observers);
-    let mut queries = 0usize;
-    let mut scratch = Vec::with_capacity(tiers.len());
-    loop {
-        let Some(chunk_queries) = source.next(chunk_size)? else {
-            return Ok(queries);
-        };
-        let qs = chunk_queries.as_slice();
-        let chunk = compiler.compile(qs);
-        let width = chunk.depth.max(1);
-        let mut rows_y = chunk.yield_prices.chunks_exact(width);
-        let mut rows_f = chunk.fetch_suffixes.chunks_exact(width);
-        for ((qi, query), bounds) in qs.iter().enumerate().zip(chunk.offsets.windows(2)) {
+impl CompiledChunk {
+    /// The replay kernel: walk this chunk through a policy stack (one
+    /// policy per tier, bottom-up) and emit into `sink`. `queries` are
+    /// the chunk's source queries, handed to the sink's query hooks when
+    /// available; `shard` restricts the walk to the slices one shard
+    /// owns, while the query clock still advances over every query.
+    fn replay<S: Sink>(
+        &self,
+        queries: Option<&[TraceQuery]>,
+        shard: Option<(ShardPlan, usize)>,
+        tiers: &mut [&mut dyn CachePolicy],
+        faults: Option<&FaultPlan<'_>>,
+        scratch: &mut Vec<(Access, Decision)>,
+        sink: &mut S,
+    ) {
+        let width = self.upper;
+        for (local, bounds) in self.offsets.windows(2).enumerate() {
             let &[start, end] = bounds else { continue };
-            let index = chunk.first_query.saturating_add(qi);
+            let index = self.first_query.saturating_add(local);
             let time = Tick::new(index as u64);
-            for obs in observers.iter_mut() {
-                obs.on_query_start(index, query);
-            }
-            for slice in chunk.slices.get(start..end).unwrap_or(&[]) {
-                let (Some(row_y), Some(row_f)) = (rows_y.next(), rows_f.next()) else {
-                    break;
-                };
+            let query = queries.and_then(|qs| qs.get(local));
+            sink.start_query(index, query);
+            for (at, slice) in (start..end).zip(self.slices.get(start..end).unwrap_or(&[])) {
+                if shard.is_some_and(|(plan, owner)| plan.shard_of(slice.object) != owner) {
+                    continue;
+                }
+                if let [site] = &mut *tiers {
+                    let access = slice.access(time);
+                    let decision = site.on_access(&access);
+                    sink.settle(index, slice, &access, &decision, &**site, faults);
+                    continue;
+                }
+                let row = at.saturating_mul(width);
+                let upper_yields = self
+                    .upper_yields
+                    .get(row..row.saturating_add(width))
+                    .unwrap_or(&[]);
+                let upper_fetches = self
+                    .upper_fetches
+                    .get(row..row.saturating_add(width))
+                    .unwrap_or(&[]);
                 serve_slice_tiered(
                     index,
                     time,
@@ -481,29 +578,218 @@ pub(crate) fn replay_chunked_tiered(
                     slice.size,
                     tiers,
                     faults,
-                    &|l| row_y.get(l).copied().unwrap_or(Bytes::ZERO),
-                    &|t| row_f.get(t).copied().unwrap_or(Bytes::ZERO),
-                    &mut scratch,
-                    &mut |event| {
-                        for obs in observers.iter_mut().take(access_count) {
-                            obs.on_access(event);
-                        }
+                    |link| match link.checked_sub(1) {
+                        None => slice.priced_yield,
+                        Some(up) => upper_yields.get(up).copied().unwrap_or(Bytes::ZERO),
                     },
+                    |tier| match tier.checked_sub(1) {
+                        None => slice.priced_fetch,
+                        Some(up) => upper_fetches.get(up).copied().unwrap_or(Bytes::ZERO),
+                    },
+                    scratch,
+                    |event| sink.event(event),
                 );
             }
-            for obs in observers.iter_mut() {
-                obs.on_query_end(index, query);
-            }
+            sink.end_query(index, query);
         }
-        queries = queries.saturating_add(chunk.queries());
+    }
+}
+
+/// One kernel lane: a policy stack plus the sinks it emits into. An
+/// unsharded replay drives one lane on the calling thread; a sharded
+/// replay drives one per worker, each filtered to its shard.
+pub(crate) struct Lane<'p, 'o> {
+    stack: Vec<&'p mut dyn CachePolicy>,
+    shard: Option<(ShardPlan, usize)>,
+    report: ReportSink,
+    observers: Vec<&'o mut dyn Observer>,
+    /// Length of the observers' access-wanting prefix.
+    access: usize,
+    scratch: Vec<(Access, Decision)>,
+}
+
+impl<'p, 'o> Lane<'p, 'o> {
+    /// A lane over `stack`, emitting into `report` and, when any are
+    /// given, `observers`.
+    pub(crate) fn new(
+        stack: Vec<&'p mut dyn CachePolicy>,
+        shard: Option<(ShardPlan, usize)>,
+        report: ReportSink,
+        mut observers: Vec<&'o mut dyn Observer>,
+    ) -> Self {
+        let access = partition_access_observers(&mut observers);
+        Lane {
+            scratch: Vec::with_capacity(stack.len()),
+            stack,
+            shard,
+            report,
+            observers,
+            access,
+        }
+    }
+
+    /// Replay one chunk through the lane.
+    pub(crate) fn replay(
+        &mut self,
+        chunk: &CompiledChunk,
+        queries: Option<&[TraceQuery]>,
+        faults: Option<&FaultPlan<'_>>,
+    ) {
+        let (stack, scratch) = (&mut self.stack, &mut self.scratch);
+        if self.observers.is_empty() {
+            chunk.replay(
+                queries,
+                self.shard,
+                stack,
+                faults,
+                scratch,
+                &mut self.report,
+            );
+        } else {
+            let mut sink = (
+                &mut self.report,
+                ObserverSink {
+                    observers: &mut self.observers,
+                    access: self.access,
+                },
+            );
+            chunk.replay(queries, self.shard, stack, faults, scratch, &mut sink);
+        }
+    }
+
+    /// Release the observers, handing back the stack, the report's
+    /// observer, and the per-query fault pairs (empty unless tracked).
+    pub(crate) fn into_parts(
+        self,
+    ) -> (Vec<&'p mut dyn CachePolicy>, CostObserver, Vec<(u32, u32)>) {
+        let pairs = self.report.pairs.unwrap_or_default();
+        (self.stack, self.report.cost, pairs)
+    }
+}
+
+/// One audit observer per tier of a `depth`-tier stack, each watching
+/// only its own tier's decision stream.
+pub(crate) fn tier_audits(depth: usize) -> Vec<AuditObserver> {
+    (0..depth)
+        .map(|t| AuditObserver::for_tier(u32::try_from(t).unwrap_or(u32::MAX)))
+        .collect()
+}
+
+/// The one close-out protocol: each tier's audit deep-checks against
+/// its own tier's policy, and every other observer finishes against
+/// the site tier's. Returns the merged audit and the other observers'
+/// warnings, in order.
+pub(crate) fn close_out(
+    stack: &[&mut dyn CachePolicy],
+    audits: Vec<AuditObserver>,
+    others: &mut [&mut dyn Observer],
+) -> (Option<AuditReport>, Vec<String>) {
+    let audit = merge_audits(audits.into_iter().zip(stack).map(|(mut audit, policy)| {
+        audit.finish(Some(&**policy));
+        audit.into_report()
+    }));
+    let site: Option<&dyn CachePolicy> = stack.first().map(|p| &**p as &dyn CachePolicy);
+    let mut warnings = Vec::new();
+    for obs in others.iter_mut() {
+        obs.finish(site);
+        warnings.extend(obs.warnings());
+    }
+    (audit, warnings)
+}
+
+/// Merge per-tier (or per-shard) audit reports into one: counters and
+/// served-byte tallies sum, violation excerpts concatenate (the exact
+/// count lives in `violation_count`).
+fn merge_audits(reports: impl Iterator<Item = AuditReport>) -> Option<AuditReport> {
+    reports.reduce(|mut acc, r| {
+        acc.accesses += r.accesses;
+        acc.hits += r.hits;
+        acc.bypasses += r.bypasses;
+        acc.loads += r.loads;
+        acc.evictions += r.evictions;
+        acc.cache_served += r.cache_served;
+        acc.bypass_served += r.bypass_served;
+        acc.load_cost += r.load_cost;
+        acc.deep_checks += r.deep_checks;
+        acc.violation_count += r.violation_count;
+        acc.violations.extend(r.violations);
+        acc
+    })
+}
+
+/// Where a replay's chunks come from.
+pub(crate) enum Feed<'a> {
+    /// Windows of `chunk` queries over a resident trace, compiled as
+    /// the replay reaches them.
+    Memory { trace: &'a Trace, chunk: usize },
+    /// Chunks of `chunk` queries pulled off a trace file: the trace is
+    /// never resident.
+    Reader {
+        reader: &'a mut TraceReader,
+        chunk: usize,
+    },
+    /// A resident trace compiled once up front into one arena (the
+    /// sweep's shared compile).
+    Compiled {
+        trace: &'a Trace,
+        arena: &'a CompiledChunk,
+    },
+}
+
+impl Feed<'_> {
+    /// The trace name for report headers.
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            Feed::Memory { trace, .. } | Feed::Compiled { trace, .. } => &trace.name,
+            Feed::Reader { reader, .. } => reader.name(),
+        }
+    }
+
+    /// Hand every compiled chunk, with its source queries, to `each` in
+    /// trace order, stopping early when `each` returns `false`. Returns
+    /// the number of queries fed.
+    ///
+    /// # Errors
+    ///
+    /// IO and format errors from a reader feed.
+    pub(crate) fn drive(
+        self,
+        compiler: &mut ChunkCompiler<'_>,
+        mut each: impl FnMut(Cow<'_, CompiledChunk>, &[TraceQuery]) -> bool,
+    ) -> Result<usize> {
+        let mut fed = 0usize;
+        match self {
+            Feed::Compiled { trace, arena } => {
+                fed = arena.queries();
+                each(Cow::Borrowed(arena), &trace.queries);
+            }
+            Feed::Memory { trace, chunk } => {
+                for queries in trace.queries.chunks(chunk.max(1)) {
+                    fed = fed.saturating_add(queries.len());
+                    if !each(Cow::Owned(compiler.compile(queries)), queries) {
+                        break;
+                    }
+                }
+            }
+            Feed::Reader { reader, chunk } => loop {
+                let queries = reader.next_chunk(chunk)?;
+                if queries.is_empty() {
+                    break;
+                }
+                fed = fed.saturating_add(queries.len());
+                if !each(Cow::Owned(compiler.compile(&queries)), &queries) {
+                    break;
+                }
+            },
+        }
+        Ok(fed)
     }
 }
 
 /// Per-shard observer factory: called once per shard (in shard order,
 /// before the workers spawn); each observer rides its shard's worker,
 /// sees that shard's slice events, and is finished against the shard's
-/// (site-tier) policy. Its warnings surface in the replay, aggregated
-/// across *all* shards in shard order.
+/// site-tier policy.
 pub(crate) type ShardObserve<'a> = &'a dyn Fn(usize) -> Box<dyn Observer + Send + 'a>;
 
 /// What one shard's worker hands back after the input channel closes.
@@ -514,7 +800,7 @@ struct ShardOutcome {
     /// *global* query, in order. Only tracked under faults; the
     /// per-query fault rollup needs cross-shard totals per query.
     pairs: Vec<(u32, u32)>,
-    /// Merged audit report of the shard's decision stream(s).
+    /// Merged audit report of the shard's decision streams.
     audit: Option<AuditReport>,
     /// The shard's observer warnings.
     warnings: Vec<String>,
@@ -528,41 +814,128 @@ pub(crate) struct ShardedOutcome {
     pub(crate) warnings: Vec<String>,
 }
 
-fn pair_of(failed: u64, degraded: u64) -> (u32, u32) {
-    (
-        u32::try_from(failed).unwrap_or(u32::MAX),
-        u32::try_from(degraded).unwrap_or(u32::MAX),
-    )
+/// One shard's worker: a lane filtered to the shard, draining chunks
+/// off the channel until the producer hangs up.
+fn shard_worker<'o>(
+    shard: (ShardPlan, usize),
+    stack: Vec<&mut (dyn CachePolicy + Send + Sync)>,
+    rx: Receiver<Arc<CompiledChunk>>,
+    faults: Option<FaultPlan<'_>>,
+    track_pairs: bool,
+    mut audits: Vec<AuditObserver>,
+    mut extra: Option<Box<dyn Observer + Send + 'o>>,
+) -> ShardOutcome {
+    let stack: Vec<&mut dyn CachePolicy> = stack
+        .into_iter()
+        .map(|p| p as &mut dyn CachePolicy)
+        .collect();
+    let report = ReportSink::new(CostObserver::new("", "", ""), track_pairs);
+    let (stack, cost, pairs) = {
+        let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(audits.len() + 1);
+        for audit in audits.iter_mut() {
+            observers.push(audit);
+        }
+        if let Some(extra) = extra.as_deref_mut() {
+            observers.push(extra);
+        }
+        let mut lane = Lane::new(stack, Some(shard), report, observers);
+        while let Ok(chunk) = rx.recv() {
+            lane.replay(&chunk, None, faults.as_ref());
+        }
+        lane.into_parts()
+    };
+    let mut others: Vec<&mut dyn Observer> = Vec::new();
+    if let Some(extra) = extra.as_deref_mut() {
+        others.push(extra);
+    }
+    let (audit, warnings) = close_out(&stack, audits, &mut others);
+    ShardOutcome {
+        window: *cost.window(),
+        pairs,
+        audit,
+        warnings,
+    }
 }
 
-/// Feed every compiled chunk to every worker, returning the query
-/// count. A send error means a worker died; its panic resurfaces at
-/// join, so feeding just stops.
-fn feed_chunks(
-    source: &mut ChunkSource<'_>,
+/// Sharded parallel replay: one scoped worker per shard, each running
+/// the kernel over every chunk with its shard's per-tier policy stack
+/// (the same shard slot of every tier's [`ShardedPolicy`], which must
+/// all share one [`ShardPlan`]). Per-shard windows merge in fixed shard
+/// order into one report — bit-identical to driving the same sharded
+/// policies sequentially.
+///
+/// # Errors
+///
+/// IO and format errors from a reader feed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fan_out(
+    feed: Feed<'_>,
     compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    txs: &[SyncSender<Arc<CompiledChunk>>],
-) -> Result<usize> {
-    let mut queries = 0usize;
-    loop {
-        let Some(chunk) = source.next(chunk_size)? else {
-            return Ok(queries);
-        };
-        let compiled = Arc::new(compiler.compile(chunk.as_slice()));
-        queries = queries.saturating_add(compiled.queries());
-        for tx in txs {
-            if tx.send(Arc::clone(&compiled)).is_err() {
-                return Ok(queries);
+    tiers: &mut [&mut ShardedPolicy],
+    label: String,
+    faults: Option<FaultPlan<'_>>,
+    audit: bool,
+    observe: Option<ShardObserve<'_>>,
+) -> Result<ShardedOutcome> {
+    let plan = match tiers.first() {
+        Some(site) => site.plan(),
+        None => ShardPlan::new(1, 0),
+    };
+    let trace = feed.name().to_string();
+    let granularity = compiler.granularity().to_string();
+    let track_pairs = faults.is_some();
+    let (queries, outcomes) = std::thread::scope(|scope| {
+        // Transpose [tier][shard] policy slots into per-shard stacks.
+        let mut stacks: Vec<Vec<&mut (dyn CachePolicy + Send + Sync)>> = (0..plan.shards())
+            .map(|_| Vec::with_capacity(tiers.len()))
+            .collect();
+        for tier in tiers.iter_mut() {
+            for (stack, policy) in stacks.iter_mut().zip(tier.shards_mut().iter_mut()) {
+                stack.push(&mut **policy);
             }
         }
-    }
+        let mut txs = Vec::with_capacity(plan.shards());
+        let mut handles = Vec::with_capacity(plan.shards());
+        for (shard, stack) in stacks.into_iter().enumerate() {
+            let (tx, rx) = sync_channel::<Arc<CompiledChunk>>(CHANNEL_DEPTH);
+            let audits = if audit {
+                tier_audits(stack.len())
+            } else {
+                Vec::new()
+            };
+            let extra = observe.map(|make| make(shard));
+            handles.push(scope.spawn(move || {
+                shard_worker((plan, shard), stack, rx, faults, track_pairs, audits, extra)
+            }));
+            txs.push(tx);
+        }
+        // A send error means a worker died; its panic resurfaces at
+        // join, so feeding just stops.
+        let fed = feed.drive(compiler, |chunk, _| {
+            let chunk = Arc::new(chunk.into_owned());
+            txs.iter().all(|tx| tx.send(Arc::clone(&chunk)).is_ok())
+        });
+        drop(txs);
+        let outcomes: Vec<ShardOutcome> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect();
+        fed.map(|queries| (queries, outcomes))
+    })?;
+    Ok(merge_outcomes(
+        label,
+        trace,
+        granularity,
+        queries,
+        outcomes,
+        track_pairs,
+    ))
 }
 
 /// Merge per-shard outcomes — windows, warnings, audits in fixed shard
 /// order; fault pairs element-wise per query, then folded with the
-/// failed-wins-over-degraded rule [`CostObserver`](crate::engine::CostObserver)
-/// applies per query — into the final report.
+/// failed-wins-over-degraded rule [`CostObserver`] applies per query —
+/// into the final report.
 fn merge_outcomes(
     policy: String,
     trace: String,
@@ -596,342 +969,20 @@ fn merge_outcomes(
         warnings.extend(outcome.warnings);
         audits.extend(outcome.audit);
     }
-    let report = CostReport {
-        policy,
-        trace,
-        granularity,
-        queries,
-        sequence_cost: window.delivered,
-        bypass_served: window.bypass_served,
-        bypass_cost: window.bypass_cost,
-        fetch_cost: window.fetch_cost,
-        relay_cost: window.relay_cost,
-        cache_served: window.cache_served,
-        retried_bytes: window.retried_bytes,
-        failed_bytes: window.failed_bytes,
-        hits: window.hits,
-        bypasses: window.bypasses,
-        loads: window.loads,
-        evictions: window.evictions,
-        retries: window.retries,
-        failed_queries,
-        degraded_queries,
-    };
     ShardedOutcome {
-        report,
+        report: CostObserver::merged(
+            &policy,
+            &trace,
+            &granularity,
+            queries,
+            window,
+            failed_queries,
+            degraded_queries,
+        )
+        .into_report(),
         audit: merge_audits(audits.into_iter()),
         warnings,
     }
-}
-
-/// One flat shard worker: drain chunks off the channel, replay the
-/// owned slices through the shard's policy, accumulate.
-#[allow(clippy::too_many_arguments)]
-fn shard_worker_flat(
-    shard: usize,
-    plan: ShardPlan,
-    policy: &mut (dyn CachePolicy + Send + Sync),
-    rx: Receiver<Arc<CompiledChunk>>,
-    faults: Option<FaultPlan<'_>>,
-    track_pairs: bool,
-    mut audit: Option<AuditObserver>,
-    mut extra: Option<Box<dyn Observer + Send + '_>>,
-) -> ShardOutcome {
-    let mut window = QueryWindow::default();
-    let mut pairs = Vec::new();
-    while let Ok(chunk) = rx.recv() {
-        for (qi, bounds) in chunk.offsets.windows(2).enumerate() {
-            let &[start, end] = bounds else { continue };
-            let index = chunk.first_query.saturating_add(qi);
-            let time = Tick::new(index as u64);
-            let (mut failed, mut degraded) = (0u64, 0u64);
-            for slice in chunk.slices.get(start..end).unwrap_or(&[]) {
-                if plan.shard_of(slice.object) != shard {
-                    continue;
-                }
-                let access = slice.access(time);
-                let decision = policy.on_access(&access);
-                let event = slice_event(
-                    index,
-                    time,
-                    slice.raw_yield,
-                    slice.server,
-                    &access,
-                    &decision,
-                    &*policy,
-                    faults.as_ref(),
-                    || slice.priced_yield,
-                );
-                window.absorb(&event);
-                failed += event.failed;
-                degraded += event.degraded;
-                if let Some(audit) = audit.as_mut() {
-                    audit.on_access(&event);
-                }
-                if let Some(extra) = extra.as_mut() {
-                    extra.on_access(&event);
-                }
-            }
-            if track_pairs {
-                pairs.push(pair_of(failed, degraded));
-            }
-        }
-    }
-    let site: Option<&dyn CachePolicy> = Some(policy);
-    let mut warnings = Vec::new();
-    let audit = audit.map(|mut audit| {
-        audit.finish(site);
-        audit.into_report()
-    });
-    if let Some(extra) = extra.as_mut() {
-        extra.finish(site);
-        warnings.extend(extra.warnings());
-    }
-    ShardOutcome {
-        window,
-        pairs,
-        audit,
-        warnings,
-    }
-}
-
-/// One tiered shard worker: the shard's per-tier policy stack driven
-/// through [`serve_slice_tiered`] with the chunk's price rows.
-#[allow(clippy::too_many_arguments)]
-fn shard_worker_tiered(
-    shard: usize,
-    plan: ShardPlan,
-    mut stack: Vec<&mut (dyn CachePolicy + Send + Sync)>,
-    names: Vec<&str>,
-    rx: Receiver<Arc<CompiledChunk>>,
-    faults: Option<FaultPlan<'_>>,
-    track_pairs: bool,
-    mut audits: Vec<AuditObserver>,
-    mut extra: Option<Box<dyn Observer + Send + '_>>,
-) -> ShardOutcome {
-    let mut window = QueryWindow::default();
-    let mut pairs = Vec::new();
-    let mut scratch = Vec::with_capacity(stack.len());
-    {
-        let mut tiers: Vec<TierState<'_>> = names
-            .iter()
-            .zip(stack.iter_mut())
-            .map(|(name, policy)| TierState {
-                name,
-                policy: &mut **policy,
-            })
-            .collect();
-        while let Ok(chunk) = rx.recv() {
-            let width = chunk.depth.max(1);
-            let mut rows_y = chunk.yield_prices.chunks_exact(width);
-            let mut rows_f = chunk.fetch_suffixes.chunks_exact(width);
-            for (qi, bounds) in chunk.offsets.windows(2).enumerate() {
-                let &[start, end] = bounds else { continue };
-                let index = chunk.first_query.saturating_add(qi);
-                let time = Tick::new(index as u64);
-                let (mut failed, mut degraded) = (0u64, 0u64);
-                for slice in chunk.slices.get(start..end).unwrap_or(&[]) {
-                    // Rows advance for *every* slice — including
-                    // foreign-shard ones — to stay arena-aligned.
-                    let (Some(row_y), Some(row_f)) = (rows_y.next(), rows_f.next()) else {
-                        break;
-                    };
-                    if plan.shard_of(slice.object) != shard {
-                        continue;
-                    }
-                    serve_slice_tiered(
-                        index,
-                        time,
-                        slice.object,
-                        slice.server,
-                        slice.raw_yield,
-                        slice.size,
-                        &mut tiers,
-                        faults.as_ref(),
-                        &|l| row_y.get(l).copied().unwrap_or(Bytes::ZERO),
-                        &|t| row_f.get(t).copied().unwrap_or(Bytes::ZERO),
-                        &mut scratch,
-                        &mut |event| {
-                            window.absorb(event);
-                            failed += event.failed;
-                            degraded += event.degraded;
-                            for audit in audits.iter_mut() {
-                                audit.on_access(event);
-                            }
-                            if let Some(extra) = extra.as_mut() {
-                                extra.on_access(event);
-                            }
-                        },
-                    );
-                }
-                if track_pairs {
-                    pairs.push(pair_of(failed, degraded));
-                }
-            }
-        }
-    }
-    // Close out: each tier's audit deep-checks against its *own* tier's
-    // policy; the extra observer sees the site tier's, matching the
-    // session's tiered protocol.
-    let mut audit_reports = Vec::with_capacity(audits.len());
-    for (t, mut audit) in audits.into_iter().enumerate() {
-        audit.finish(stack.get(t).map(|p| &**p as &dyn CachePolicy));
-        audit_reports.push(audit.into_report());
-    }
-    let site: Option<&dyn CachePolicy> = stack.first().map(|p| &**p as &dyn CachePolicy);
-    let mut warnings = Vec::new();
-    if let Some(extra) = extra.as_mut() {
-        extra.finish(site);
-        warnings.extend(extra.warnings());
-    }
-    ShardOutcome {
-        window,
-        pairs,
-        audit: merge_audits(audit_reports.into_iter()),
-        warnings,
-    }
-}
-
-/// Sharded parallel replay over a flat network: one scoped worker per
-/// shard, chunks fanned out over bounded channels, per-shard
-/// accumulators merged in fixed shard order into one report —
-/// bit-identical to driving the same [`ShardedPolicy`] sequentially.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_sharded(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    sharded: &mut ShardedPolicy,
-    trace_name: &str,
-    faults: Option<FaultPlan<'_>>,
-    audit: bool,
-    observe: Option<ShardObserve<'_>>,
-) -> Result<ShardedOutcome> {
-    let plan = sharded.plan();
-    let label = sharded.name().to_string();
-    let granularity = compiler.granularity().to_string();
-    let track_pairs = faults.is_some();
-    let (queries, outcomes) = std::thread::scope(|scope| {
-        let mut txs = Vec::with_capacity(plan.shards());
-        let mut handles = Vec::with_capacity(plan.shards());
-        for (shard, policy) in sharded.shards_mut().iter_mut().enumerate() {
-            let (tx, rx) = sync_channel::<Arc<CompiledChunk>>(CHANNEL_DEPTH);
-            let audit = audit.then(AuditObserver::new);
-            let extra = observe.map(|make| make(shard));
-            handles.push(scope.spawn(move || {
-                shard_worker_flat(
-                    shard,
-                    plan,
-                    &mut **policy,
-                    rx,
-                    faults,
-                    track_pairs,
-                    audit,
-                    extra,
-                )
-            }));
-            txs.push(tx);
-        }
-        let fed = feed_chunks(source, compiler, chunk_size, &txs);
-        drop(txs);
-        let outcomes: Vec<ShardOutcome> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        fed.map(|queries| (queries, outcomes))
-    })?;
-    Ok(merge_outcomes(
-        label,
-        trace_name.to_string(),
-        granularity,
-        queries,
-        outcomes,
-        track_pairs,
-    ))
-}
-
-/// Sharded parallel replay over a tiered topology: each worker drives
-/// its shard's per-tier policy stack (the same shard slot of every
-/// tier's [`ShardedPolicy`]). All tiers must share one [`ShardPlan`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_sharded_tiered(
-    source: &mut ChunkSource<'_>,
-    compiler: &mut ChunkCompiler<'_>,
-    chunk_size: usize,
-    tier_shards: &mut [&mut ShardedPolicy],
-    topology: &Topology,
-    trace_name: &str,
-    faults: Option<FaultPlan<'_>>,
-    audit: bool,
-    observe: Option<ShardObserve<'_>>,
-) -> Result<ShardedOutcome> {
-    let Some(first) = tier_shards.first() else {
-        return Err(Error::InvalidConfig(
-            "sharded tiered replay needs one ShardedPolicy per tier".into(),
-        ));
-    };
-    let plan = first.plan();
-    let label = first.name().to_string();
-    let granularity = compiler.granularity().to_string();
-    let depth = topology.depth();
-    let names: Vec<&str> = topology.tiers().iter().map(|s| s.name.as_str()).collect();
-    let track_pairs = faults.is_some();
-    let (queries, outcomes) = std::thread::scope(|scope| {
-        // Transpose [tier][shard] policy slots into per-shard stacks.
-        let mut stacks: Vec<Vec<&mut (dyn CachePolicy + Send + Sync)>> = (0..plan.shards())
-            .map(|_| Vec::with_capacity(depth))
-            .collect();
-        for tier in tier_shards.iter_mut() {
-            for (shard, policy) in tier.shards_mut().iter_mut().enumerate() {
-                if let Some(stack) = stacks.get_mut(shard) {
-                    stack.push(&mut **policy);
-                }
-            }
-        }
-        let mut txs = Vec::with_capacity(plan.shards());
-        let mut handles = Vec::with_capacity(plan.shards());
-        for (shard, stack) in stacks.into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<Arc<CompiledChunk>>(CHANNEL_DEPTH);
-            let audits: Vec<AuditObserver> = if audit {
-                (0..depth)
-                    .map(|t| AuditObserver::for_tier(u32::try_from(t).unwrap_or(u32::MAX)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let extra = observe.map(|make| make(shard));
-            let names = names.clone();
-            handles.push(scope.spawn(move || {
-                shard_worker_tiered(
-                    shard,
-                    plan,
-                    stack,
-                    names,
-                    rx,
-                    faults,
-                    track_pairs,
-                    audits,
-                    extra,
-                )
-            }));
-            txs.push(tx);
-        }
-        let fed = feed_chunks(source, compiler, chunk_size, &txs);
-        drop(txs);
-        let outcomes: Vec<ShardOutcome> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        fed.map(|queries| (queries, outcomes))
-    })?;
-    Ok(merge_outcomes(
-        label,
-        trace_name.to_string(),
-        granularity,
-        queries,
-        outcomes,
-        track_pairs,
-    ))
 }
 
 #[cfg(test)]
@@ -956,18 +1007,19 @@ mod tests {
         let reference = CompiledTrace::compile(&trace, &objects, &net);
         for chunk_size in [1usize, 7, 64, 10_000] {
             let mut compiler = ChunkCompiler::flat(&objects, &net);
-            let mut source = ChunkSource::Memory {
-                trace: &trace,
-                at: 0,
-            };
             let mut slices = Vec::new();
             let mut queries = 0usize;
-            while let Some(chunk) = source.next(chunk_size).unwrap() {
-                let compiled = compiler.compile(chunk.as_slice());
+            let feed = Feed::Memory {
+                trace: &trace,
+                chunk: chunk_size,
+            };
+            feed.drive(&mut compiler, |compiled, _| {
                 assert_eq!(compiled.first_query(), queries);
                 queries += compiled.queries();
                 slices.extend_from_slice(compiled.slices());
-            }
+                true
+            })
+            .unwrap();
             assert_eq!(queries, trace.len(), "chunk_size {chunk_size}");
             assert_eq!(slices, reference.slices(), "chunk_size {chunk_size}");
         }
@@ -999,22 +1051,51 @@ mod tests {
 
     #[test]
     fn memory_source_is_exhaustive_and_sticky() {
-        let (trace, _) = setup(1, 10);
-        let mut source = ChunkSource::Memory {
+        let (trace, objects) = setup(1, 10);
+        let mut compiler = ChunkCompiler::flat(&objects, &Uniform);
+        let mut sizes = Vec::new();
+        let fed = Feed::Memory {
             trace: &trace,
-            at: 0,
-        };
-        let mut seen = 0;
-        while let Some(chunk) = source.next(3).unwrap() {
-            seen += chunk.as_slice().len();
+            chunk: 3,
         }
-        assert_eq!(seen, 10);
-        assert!(source.next(3).unwrap().is_none());
-        // Zero-sized requests still make progress.
-        let mut source = ChunkSource::Memory {
+        .drive(&mut compiler, |chunk, queries| {
+            assert_eq!(chunk.queries(), queries.len());
+            sizes.push(queries.len());
+            true
+        })
+        .unwrap();
+        assert_eq!(fed, 10);
+        assert_eq!(sizes, [3, 3, 3, 1]);
+        // Zero-sized requests still make progress, and stopping early
+        // counts only what was fed.
+        let mut compiler = ChunkCompiler::flat(&objects, &Uniform);
+        let fed = Feed::Memory {
             trace: &trace,
-            at: 0,
-        };
-        assert_eq!(source.next(0).unwrap().unwrap().as_slice().len(), 1);
+            chunk: 0,
+        }
+        .drive(&mut compiler, |chunk, _| {
+            assert_eq!(chunk.queries(), 1);
+            chunk.first_query() < 4
+        })
+        .unwrap();
+        assert_eq!(fed, 5);
+    }
+
+    #[test]
+    fn one_tier_topology_compiles_like_its_flat_network() {
+        let (trace, objects) = setup(2, 120);
+        let topology = Topology::flat(Box::new(PerServerMultipliers::new(vec![1.0, 2.0]).unwrap()));
+        let net = PerServerMultipliers::new(vec![1.0, 2.0]).unwrap();
+        let flat = ChunkCompiler::flat(&objects, &net).compile(&trace.queries);
+        let tiered = ChunkCompiler::tiered(&objects, &topology).compile(&trace.queries);
+        assert_eq!(flat.slices(), tiered.slices());
+        assert_eq!(tiered.tiers(), 1);
+        assert!(tiered.upper_yields.is_empty() && tiered.upper_fetches.is_empty());
+
+        let three = Topology::three_tier(0.1, 0.25, Box::new(Uniform)).unwrap();
+        let deep = ChunkCompiler::tiered(&objects, &three).compile(&trace.queries);
+        assert_eq!(deep.tiers(), 3);
+        assert_eq!(deep.upper_yields.len(), 2 * deep.slices().len());
+        assert_eq!(deep.upper_fetches.len(), 2 * deep.slices().len());
     }
 }

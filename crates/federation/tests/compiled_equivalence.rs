@@ -1,23 +1,31 @@
-//! Property-based proof that the compiled replay path is bit-identical
-//! to the reference (uncompiled) engine path.
+//! Property-based proof that the replay kernel is bit-identical to the
+//! uncompiled flat oracle.
 //!
-//! The compiled hot path precomputes catalog resolution and network
-//! pricing once per trace, then replays over a flat slice arena. Its
-//! whole value proposition rests on one claim: the [`CostReport`] it
-//! produces is *bit-identical* to the reference path's, for every
-//! policy, network regime, and fault configuration. These tests pin
-//! that claim across the full 13-policy roster, uniform and per-server
-//! networks, and fault-free / flaky-link replays with retries and both
-//! degradation modes.
+//! Every session replay compiles its trace — catalog resolution and
+//! network pricing hoisted into a slice arena — and walks the arena in
+//! the chunked kernel. Its whole value proposition rests on one claim:
+//! the [`CostReport`] it produces is *bit-identical* to the uncompiled
+//! engine's ([`ReplayEngine::replay`]), for every policy, network
+//! regime, and fault configuration. These tests pin that claim across
+//! the full 13-policy roster, uniform and per-server networks, and
+//! fault-free / flaky-link / outage replays with retries and both
+//! degradation modes, with the whole trace compiled as one chunk.
+//! `streamed_equivalence` covers the other chunk sizes and sharding.
+//!
+//! [`ReplayEngine::replay`]: byc_federation::ReplayEngine::replay
+
+mod common;
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_federation::{
     build_policy, CompiledTrace, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
-    PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Uniform,
+    NetworkModel, Outage, OutageWindows, PerServerMultipliers, PolicyKind, ReplaySession,
+    RetryPolicy, Uniform,
 };
-use byc_types::{Bytes, QueryId, TableId};
+use byc_types::{Bytes, QueryId, ServerId, TableId, Tick};
 use byc_workload::{generate, Trace, TraceQuery, WorkloadConfig, WorkloadStats};
+use common::Faults;
 use proptest::prelude::*;
 
 /// Every policy the roster can build, not just the headline lineup.
@@ -37,9 +45,10 @@ const ALL_POLICIES: [PolicyKind; 13] = [
     PolicyKind::NoCache,
 ];
 
-/// One replay of `kind`, compiled or reference, with optional network
-/// pricing and fault layer. Policies are rebuilt fresh per call so the
-/// two paths see identical initial state.
+/// One replay of `kind`, through the uncompiled oracle or through a
+/// whole-trace compiled session, with optional network pricing and
+/// fault layer. Policies are rebuilt fresh per call so the two paths
+/// see identical initial state.
 #[allow(clippy::too_many_arguments)]
 fn run(
     trace: &Trace,
@@ -48,22 +57,25 @@ fn run(
     kind: PolicyKind,
     seed: u64,
     network: Option<&PerServerMultipliers>,
-    faults: Option<(&dyn FaultModel, RetryPolicy, DegradationPolicy)>,
+    faults: Faults<'_>,
     compiled: bool,
 ) -> CostReport {
     let capacity = objects.total_size().scale(0.25);
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
+    let net: &dyn NetworkModel = match network {
+        Some(net) => net,
+        None => &Uniform,
+    };
+    if !compiled {
+        return common::flat(trace, objects, net, faults, policy.as_mut());
+    }
     let mut session = ReplaySession::new(trace, objects)
         .policy(policy.as_mut())
+        .network(net)
+        .compiled()
         .unaudited();
-    if let Some(net) = network {
-        session = session.network(net);
-    }
     if let Some((model, retry, degradation)) = faults {
         session = session.faults(model).retry(retry).degrade(degradation);
-    }
-    if compiled {
-        session = session.compiled();
     }
     match session.run() {
         Ok(replay) => replay.report,
@@ -100,10 +112,10 @@ proptest! {
         }
     }
 
-    /// Bit-identity survives the fault layer: flaky links, retries with
-    /// backoff, and both degradation modes. The fault stream is keyed on
-    /// (time, object, server, attempt) coordinates, which the compiled
-    /// path must reproduce exactly.
+    /// Bit-identity survives the fault layer: flaky links and scheduled
+    /// outages, retries with backoff, and both degradation modes. The
+    /// fault stream is keyed on (time, object, server, attempt)
+    /// coordinates, which the kernel must reproduce exactly.
     #[test]
     fn compiled_matches_reference_under_faults(
         seed in any::<u64>(),
@@ -112,6 +124,7 @@ proptest! {
         spike_p in 0.0f64..0.2,
         attempts in 1u32..4,
         fail_mode in any::<bool>(),
+        outage_from in 0u64..100,
     ) {
         let catalog = sdss::build(SdssRelease::Edr, 1e-4, 3);
         let trace = generate(&catalog, &WorkloadConfig::smoke(seed, 120)).unwrap();
@@ -119,22 +132,32 @@ proptest! {
         let stats = WorkloadStats::compute(&trace, &objects);
         let network = PerServerMultipliers::new(vec![1.0, 2.5, 0.5]).unwrap();
         let flaky = FlakyLinks::new(fault_seed, failure_p, spike_p, 4.0);
+        let outage = OutageWindows::new(vec![Outage {
+            server: ServerId::new(1),
+            from: Tick::new(outage_from),
+            until: Tick::new(outage_from + 30),
+        }]);
         let retry = RetryPolicy::new(attempts, 2);
         let degradation = if fail_mode {
             DegradationPolicy::Fail
         } else {
             DegradationPolicy::ServeStale
         };
-        let faults = Some((&flaky as &dyn FaultModel, retry, degradation));
-        for kind in ALL_POLICIES {
-            let reference = run(
-                &trace, &objects, &stats, kind, seed, Some(&network), faults, false,
-            );
-            let compiled = run(
-                &trace, &objects, &stats, kind, seed, Some(&network), faults, true,
-            );
-            prop_assert_eq!(&reference, &compiled, "{:?} diverged under faults", kind);
-            prop_assert!(compiled.conserves_delivery(), "{kind:?} conservation");
+        for model in [&flaky as &dyn FaultModel, &outage] {
+            let faults = Some((model, retry, degradation));
+            for kind in ALL_POLICIES {
+                let reference = run(
+                    &trace, &objects, &stats, kind, seed, Some(&network), faults, false,
+                );
+                let compiled = run(
+                    &trace, &objects, &stats, kind, seed, Some(&network), faults, true,
+                );
+                prop_assert_eq!(
+                    &reference, &compiled,
+                    "{:?} diverged under {}", kind, model.name()
+                );
+                prop_assert!(compiled.conserves_delivery(), "{kind:?} conservation");
+            }
         }
     }
 

@@ -20,7 +20,7 @@ use byc_core::static_opt::{NoCache, StaticCache};
 use byc_core::CacheState;
 use byc_federation::policies::UniformCostAdapter;
 use byc_federation::{
-    CompiledTopology, CompiledTrace, FlakyLinks, LinkScoped, PerTierObserver, TierState, Topology,
+    CompiledChunk, CompiledTrace, FlakyLinks, LinkScoped, PerTierObserver, Topology,
 };
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -39,11 +39,10 @@ fn shared_state_is_send_sync() {
 #[test]
 fn topology_stack_is_send_sync() {
     // A tiered sweep shares the topology and its compiled pricing tables
-    // read-only across every (policy × fraction) worker; per-tier state
-    // is partitioned per job but must still cross the spawn boundary.
+    // read-only across every (policy × fraction) worker, and a sharded
+    // replay hands every compiled chunk to every shard worker.
     assert_send_sync::<Topology>();
-    assert_send_sync::<CompiledTopology>();
-    assert_send_sync::<TierState<'static>>();
+    assert_send_sync::<CompiledChunk>();
     assert_send_sync::<PerTierObserver>();
     assert_send_sync::<LinkScoped<FlakyLinks>>();
 }

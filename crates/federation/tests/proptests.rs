@@ -11,10 +11,11 @@
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
+use byc_core::policy::CachePolicy;
 use byc_federation::{
-    build_policy, CostObserver, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
-    NetworkModel, Observer, Outage, OutageWindows, PerServerMultipliers, PerServerObserver,
-    PolicyKind, ReplayEngine, ReplaySession, RetryPolicy, Topology, Uniform,
+    build_policy, replay_tiered, CostObserver, CostReport, DegradationPolicy, FaultModel,
+    FaultPlan, FlakyLinks, NetworkModel, Observer, Outage, OutageWindows, PerServerMultipliers,
+    PerServerObserver, PolicyKind, ReplayEngine, ReplaySession, RetryPolicy, Topology, Uniform,
 };
 use byc_types::{Bytes, ServerId, Tick};
 use byc_workload::{generate, Trace, WorkloadConfig, WorkloadStats};
@@ -131,9 +132,19 @@ fn fault_run(
     }
 }
 
-/// One replay of `kind` over either the legacy flat `.network()` path or
-/// a degenerate single-tier `.topology()` (optionally compiled), with an
-/// optional fault layer. Policies are rebuilt fresh per call.
+/// Which replay `flat_or_tiered_run` drives.
+#[derive(Clone, Copy)]
+enum Path<'a> {
+    /// The uncompiled flat oracle (`ReplayEngine::replay`).
+    FlatOracle(&'a dyn NetworkModel),
+    /// The uncompiled tiered oracle (`replay_tiered`).
+    TieredOracle(&'a Topology),
+    /// A session over the topology, chunked at this many queries.
+    Session(&'a Topology, usize),
+}
+
+/// One replay of `kind` down `path`, with an optional fault layer.
+/// Policies are rebuilt fresh per call.
 #[allow(clippy::too_many_arguments)]
 fn flat_or_tiered_run(
     trace: &Trace,
@@ -142,22 +153,47 @@ fn flat_or_tiered_run(
     kind: PolicyKind,
     seed: u64,
     cache_fraction: f64,
-    path: Result<&Topology, &dyn NetworkModel>,
+    path: Path<'_>,
     faults: Option<(&dyn FaultModel, RetryPolicy, DegradationPolicy)>,
-    compiled: bool,
 ) -> CostReport {
     let capacity = objects.total_size().scale(cache_fraction);
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
-    let mut session = ReplaySession::new(trace, objects);
-    session = match path {
-        Ok(topology) => session.topology(topology).tier_policy(policy.as_mut()),
-        Err(network) => session.policy(policy.as_mut()).network(network),
+    let plan = faults.map(|(model, retry, degradation)| FaultPlan {
+        model,
+        retry,
+        degradation,
+    });
+    let (topology, chunk) = match path {
+        Path::FlatOracle(network) => {
+            let mut engine = ReplayEngine::with_network(objects, network);
+            if let Some(plan) = plan {
+                engine = engine.with_faults(plan);
+            }
+            let mut cost = CostObserver::new(policy.name(), &trace.name, "column");
+            engine.replay(trace, policy.as_mut(), &mut [&mut cost]);
+            return cost.into_report();
+        }
+        Path::TieredOracle(topology) => {
+            let mut cost = CostObserver::new(policy.name(), &trace.name, "column");
+            let policy: &mut dyn CachePolicy = policy.as_mut();
+            replay_tiered(
+                trace,
+                objects,
+                topology,
+                &mut [policy],
+                plan.as_ref(),
+                &mut [&mut cost],
+            );
+            return cost.into_report();
+        }
+        Path::Session(topology, chunk) => (topology, chunk),
     };
+    let mut session = ReplaySession::new(trace, objects)
+        .topology(topology)
+        .tier_policy(policy.as_mut())
+        .chunk_size(chunk);
     if let Some((model, retry, degradation)) = faults {
         session = session.faults(model).retry(retry).degrade(degradation);
-    }
-    if compiled {
-        session = session.compiled();
     }
     match session.run() {
         Ok(replay) => replay.report,
@@ -168,11 +204,12 @@ fn flat_or_tiered_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tiered kernel is non-regressive by construction: a degenerate
-    /// single-tier [`Topology`] produces a `CostReport` bit-identical to
-    /// the legacy flat `NetworkModel` path — for every shipped policy,
-    /// under uniform and per-server pricing, fault-free and faulted, and
-    /// through the compiled fast path.
+    /// The flat network is the one-tier case of a topology: a degenerate
+    /// single-tier [`Topology`] replayed by the kernel (chunked or as one
+    /// whole-trace arena) and by the tiered oracle produces a
+    /// `CostReport` bit-identical to the flat uncompiled oracle — for
+    /// every shipped policy, under uniform and per-server pricing,
+    /// fault-free and faulted.
     #[test]
     fn degenerate_topology_is_bit_identical_to_flat(
         seed in any::<u64>(),
@@ -206,25 +243,28 @@ proptest! {
                 ));
                 let legacy = flat_or_tiered_run(
                     &trace, &objects, &stats, kind, seed, cache_fraction,
-                    Err(flat_net.as_ref()), faults, false,
+                    Path::FlatOracle(flat_net.as_ref()), faults,
                 );
-                let tiered = flat_or_tiered_run(
+                let oracle = flat_or_tiered_run(
                     &trace, &objects, &stats, kind, seed, cache_fraction,
-                    Ok(&topology), faults, false,
+                    Path::TieredOracle(&topology), faults,
                 );
                 prop_assert_eq!(
-                    &legacy, &tiered,
-                    "{:?} faulted={} single-tier topology diverged", kind, faulted
+                    &legacy, &oracle,
+                    "{:?} faulted={} single-tier oracle diverged", kind, faulted
                 );
-                prop_assert_eq!(tiered.relay_cost, Bytes::ZERO);
-                let compiled = flat_or_tiered_run(
-                    &trace, &objects, &stats, kind, seed, cache_fraction,
-                    Ok(&topology), faults, true,
-                );
-                prop_assert_eq!(
-                    &legacy, &compiled,
-                    "{:?} faulted={} compiled single-tier diverged", kind, faulted
-                );
+                for chunk in [7, usize::MAX] {
+                    let tiered = flat_or_tiered_run(
+                        &trace, &objects, &stats, kind, seed, cache_fraction,
+                        Path::Session(&topology, chunk), faults,
+                    );
+                    prop_assert_eq!(
+                        &legacy, &tiered,
+                        "{:?} faulted={} single-tier kernel diverged (chunk {})",
+                        kind, faulted, chunk
+                    );
+                    prop_assert_eq!(tiered.relay_cost, Bytes::ZERO);
+                }
             }
         }
     }

@@ -1,31 +1,39 @@
-//! Property-based proof that streamed (out-of-core) and sharded
-//! (parallel) replays are bit-identical to their in-memory references.
+//! Property-based proof that chunked (out-of-core) and sharded
+//! (parallel) replays are bit-identical to the uncompiled oracles.
 //!
-//! The streaming stack's whole value proposition rests on two claims:
+//! The replay kernel's whole value proposition rests on two claims:
 //!
 //! 1. **Chunking is invisible.** Replaying through the incremental
-//!    [`ChunkCompiler`] — any chunk size, in-memory source or disk
-//!    reader — produces the same [`CostReport`] as the monolithic
-//!    engine path, for every policy, network regime, and fault
+//!    `ChunkCompiler` — any chunk size, in-memory source or disk
+//!    reader — produces the same [`CostReport`] as the uncompiled
+//!    engine (`ReplayEngine::replay`, or `replay_tiered` on a
+//!    topology), for every policy, network regime, and fault
 //!    configuration.
-//! 2. **Sharding is invisible.** Replaying a [`ShardedPolicy`] on one
+//! 2. **Sharding is invisible.** Replaying a `ShardedPolicy` on one
 //!    worker thread per shard and merging the per-shard windows in
 //!    shard order produces the same report as driving the *same*
-//!    sharded policy sequentially through the reference engine. (An
+//!    sharded policy sequentially through the uncompiled engine. (An
 //!    *unsharded* policy is not the reference: splitting the capacity
-//!    changes eviction behavior, deliberately.)
+//!    changes eviction behavior, deliberately — see
+//!    `sharding_changes_answers_by_a_pinned_amount`.)
 //!
-//! These tests pin both claims across the full 13-policy roster, flat
-//! and two-tier topologies, and fault-free / flaky replays.
+//! These tests pin both claims across the full 13-policy roster, flat,
+//! two-tier and three-tier topologies, and fault-free / flaky replays.
+
+mod common;
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
+use byc_core::policy::CachePolicy;
 use byc_core::shard::ShardPlan;
 use byc_federation::{
     build_policy, build_sharded, CostEvent, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
-    Observer, PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Topology,
+    NetworkModel, Observer, PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Topology,
+    Uniform,
 };
+use byc_types::Bytes;
 use byc_workload::{generate, Trace, TraceReader, WorkloadConfig, WorkloadStats};
+use common::Faults;
 use proptest::prelude::*;
 
 /// Every policy the roster can build, not just the headline lineup.
@@ -53,9 +61,14 @@ fn smoke(seed: u64, servers: u32, queries: usize) -> (Trace, ObjectCatalog, Work
     (trace, objects, stats)
 }
 
-type Faults<'a> = Option<(&'a dyn FaultModel, RetryPolicy, DegradationPolicy)>;
+fn net_or_uniform(network: Option<&PerServerMultipliers>) -> &dyn NetworkModel {
+    match network {
+        Some(net) => net,
+        None => &Uniform,
+    }
+}
 
-/// The reference: the uncompiled engine path over the in-memory trace.
+/// The reference: the uncompiled flat oracle over the in-memory trace.
 fn reference_flat(
     trace: &Trace,
     objects: &ObjectCatalog,
@@ -67,16 +80,13 @@ fn reference_flat(
 ) -> CostReport {
     let capacity = objects.total_size().scale(0.25);
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
-    let mut session = ReplaySession::new(trace, objects)
-        .policy(policy.as_mut())
-        .unaudited();
-    if let Some(net) = network {
-        session = session.network(net);
-    }
-    if let Some((model, retry, degradation)) = faults {
-        session = session.faults(model).retry(retry).degrade(degradation);
-    }
-    session.run().unwrap().report
+    common::flat(
+        trace,
+        objects,
+        net_or_uniform(network),
+        faults,
+        policy.as_mut(),
+    )
 }
 
 /// The streamed path: same policy construction, chunked replay.
@@ -94,7 +104,6 @@ fn streamed_flat(
     let mut policy = build_policy(kind, capacity, &stats.demands, seed);
     let mut session = ReplaySession::new(trace, objects)
         .policy(policy.as_mut())
-        .streaming()
         .chunk_size(chunk)
         .unaudited();
     if let Some(net) = network {
@@ -106,8 +115,8 @@ fn streamed_flat(
     session.run().unwrap().report
 }
 
-/// Sequential reference for sharding: the same [`ShardedPolicy`] driven
-/// single-threaded through the reference engine — it routes each access
+/// Sequential reference for sharding: the same `ShardedPolicy` driven
+/// single-threaded through the uncompiled oracle — it routes each access
 /// to its owning shard, so decisions match the parallel run exactly.
 fn sharded_reference_flat(
     trace: &Trace,
@@ -122,16 +131,13 @@ fn sharded_reference_flat(
     let capacity = objects.total_size().scale(0.25);
     let plan = ShardPlan::new(shards, objects.len());
     let mut sharded = build_sharded(kind, plan, capacity, &stats.demands, seed).unwrap();
-    let mut session = ReplaySession::new(trace, objects)
-        .policy(&mut sharded)
-        .unaudited();
-    if let Some(net) = network {
-        session = session.network(net);
-    }
-    if let Some((model, retry, degradation)) = faults {
-        session = session.faults(model).retry(retry).degrade(degradation);
-    }
-    session.run().unwrap().report
+    common::flat(
+        trace,
+        objects,
+        net_or_uniform(network),
+        faults,
+        &mut sharded,
+    )
 }
 
 /// The parallel sharded path: one worker per shard, merged in shard
@@ -166,14 +172,14 @@ fn sharded_parallel_flat(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Claim 1, flat: chunked streaming is bit-identical to the
-    /// reference for every policy, with and without per-server pricing,
-    /// across chunk sizes bracketing the trace length.
+    /// Claim 1, flat: chunked replay is bit-identical to the oracle
+    /// for every policy, with and without per-server pricing, across
+    /// chunk sizes from one query to the whole trace.
     #[test]
     fn streamed_matches_reference_across_chunk_sizes(
         seed in any::<u64>(),
         servers in 1u32..4,
-        chunk in prop_oneof![Just(1usize), 2usize..64, Just(10_000usize)],
+        chunk in prop_oneof![Just(1usize), Just(7usize), 2usize..64, Just(4096usize), Just(usize::MAX)],
     ) {
         let (trace, objects, stats) = smoke(seed, servers, 120);
         let network = PerServerMultipliers::new(
@@ -227,82 +233,109 @@ proptest! {
         }
     }
 
-    /// Both claims on a two-tier topology: streamed tiered replay
-    /// matches the tiered reference, and parallel sharded tiers match
-    /// the same per-tier sharded policies driven sequentially.
+    /// Both claims on two- and three-tier topologies, fault-free and
+    /// under flaky links: chunked tiered replay matches the tiered
+    /// oracle, and parallel sharded tiers match the same per-tier
+    /// sharded policies driven sequentially through the oracle.
     #[test]
     fn tiered_streaming_and_sharding_match_references(
         seed in any::<u64>(),
         shards in 1usize..4,
         chunk in 1usize..48,
+        fault_seed in any::<u64>(),
+        faulty in any::<bool>(),
+        fail_mode in any::<bool>(),
     ) {
         let (trace, objects, stats) = smoke(seed, 2, 100);
-        let topo = Topology::two_tier(
-            0.25,
-            Box::new(PerServerMultipliers::new(vec![1.0, 3.0]).unwrap()),
-        ).unwrap();
-        let capacities: Vec<_> = topo
-            .tiers()
-            .iter()
-            .map(|spec| objects.total_size().scale(0.25 * spec.capacity_scale))
-            .collect();
-        for kind in ALL_POLICIES {
-            let run_tiered = |streaming: bool| {
+        let origin = || Box::new(PerServerMultipliers::new(vec![1.0, 3.0]).unwrap());
+        let topologies = [
+            Topology::two_tier(0.25, origin()).unwrap(),
+            Topology::three_tier(0.1, 0.25, origin()).unwrap(),
+        ];
+        let flaky = FlakyLinks::new(fault_seed, 0.15, 0.1, 4.0);
+        let degradation = if fail_mode {
+            DegradationPolicy::Fail
+        } else {
+            DegradationPolicy::ServeStale
+        };
+        let faults: Faults<'_> =
+            faulty.then_some((&flaky as &dyn FaultModel, RetryPolicy::new(2, 2), degradation));
+        for topo in &topologies {
+            let capacities: Vec<_> = topo
+                .tiers()
+                .iter()
+                .map(|spec| objects.total_size().scale(0.25 * spec.capacity_scale))
+                .collect();
+            for kind in ALL_POLICIES {
                 let mut tiers: Vec<_> = capacities
                     .iter()
                     .map(|&cap| build_policy(kind, cap, &stats.demands, seed))
                     .collect();
-                let mut session = ReplaySession::new(&trace, &objects)
-                    .topology(&topo)
-                    .chunk_size(chunk)
-                    .unaudited();
-                if streaming {
-                    session = session.streaming();
-                }
-                for p in tiers.iter_mut() {
-                    session = session.tier_policy(p.as_mut());
-                }
-                session.run().unwrap().report
-            };
-            let reference = run_tiered(false);
-            let streamed = run_tiered(true);
-            prop_assert_eq!(
-                &reference, &streamed,
-                "{:?} tiered streaming diverged (chunk {})", kind, chunk
-            );
-
-            let plan = ShardPlan::new(shards, objects.len());
-            let build_tiers = || -> Vec<_> {
-                capacities
+                let reference = {
+                    let mut stack: Vec<&mut dyn CachePolicy> = tiers
+                        .iter_mut()
+                        .map(|p| p.as_mut() as &mut dyn CachePolicy)
+                        .collect();
+                    common::tiered(&trace, &objects, topo, faults, &mut stack)
+                };
+                let mut tiers: Vec<_> = capacities
                     .iter()
-                    .map(|&cap| build_sharded(kind, plan, cap, &stats.demands, seed).unwrap())
-                    .collect()
-            };
-            let mut seq_tiers = build_tiers();
-            let seq = {
-                let mut session = ReplaySession::new(&trace, &objects)
-                    .topology(&topo)
-                    .unaudited();
-                for p in seq_tiers.iter_mut() {
-                    session = session.tier_policy(p);
-                }
-                session.run().unwrap().report
-            };
-            let mut par_tiers = build_tiers();
-            let par = {
-                let mut session = ReplaySession::new(&trace, &objects)
-                    .topology(&topo)
-                    .chunk_size(chunk)
-                    .unaudited();
-                for s in par_tiers.iter_mut() {
-                    session = session.shards(s);
-                }
-                session.run().unwrap().report
-            };
-            prop_assert_eq!(
-                &seq, &par,
-                "{:?} tiered sharding diverged ({} shards, chunk {})", kind, shards, chunk
-            );
+                    .map(|&cap| build_policy(kind, cap, &stats.demands, seed))
+                    .collect();
+                let streamed = {
+                    let mut session = ReplaySession::new(&trace, &objects)
+                        .topology(topo)
+                        .chunk_size(chunk)
+                        .unaudited();
+                    if let Some((model, retry, degradation)) = faults {
+                        session = session.faults(model).retry(retry).degrade(degradation);
+                    }
+                    for p in tiers.iter_mut() {
+                        session = session.tier_policy(p.as_mut());
+                    }
+                    session.run().unwrap().report
+                };
+                prop_assert_eq!(
+                    &reference, &streamed,
+                    "{:?} {} streaming diverged (chunk {}, faults {})",
+                    kind, topo.name(), chunk, faulty
+                );
+
+                let plan = ShardPlan::new(shards, objects.len());
+                let build_tiers = || -> Vec<_> {
+                    capacities
+                        .iter()
+                        .map(|&cap| build_sharded(kind, plan, cap, &stats.demands, seed).unwrap())
+                        .collect()
+                };
+                let mut seq_tiers = build_tiers();
+                let seq = {
+                    let mut stack: Vec<&mut dyn CachePolicy> = seq_tiers
+                        .iter_mut()
+                        .map(|p| p as &mut dyn CachePolicy)
+                        .collect();
+                    common::tiered(&trace, &objects, topo, faults, &mut stack)
+                };
+                let mut par_tiers = build_tiers();
+                let par = {
+                    let mut session = ReplaySession::new(&trace, &objects)
+                        .topology(topo)
+                        .chunk_size(chunk)
+                        .unaudited();
+                    if let Some((model, retry, degradation)) = faults {
+                        session = session.faults(model).retry(retry).degrade(degradation);
+                    }
+                    for s in par_tiers.iter_mut() {
+                        session = session.shards(s);
+                    }
+                    session.run().unwrap().report
+                };
+                prop_assert_eq!(
+                    &seq, &par,
+                    "{:?} {} sharding diverged ({} shards, chunk {}, faults {})",
+                    kind, topo.name(), shards, chunk, faulty
+                );
+            }
         }
     }
 }
@@ -361,7 +394,7 @@ fn reader_replay_matches_in_memory_replay() {
 }
 
 /// Chunk-size edge cases: one query per chunk, one chunk swallowing the
-/// whole trace, and the empty trace.
+/// whole trace (and the whole-trace compile), and the empty trace.
 #[test]
 fn chunk_size_edges_replay_identically() {
     let (trace, objects, stats) = smoke(31, 1, 60);
@@ -374,7 +407,7 @@ fn chunk_size_edges_replay_identically() {
         None,
         None,
     );
-    for chunk in [1, trace.len() + 1_000] {
+    for chunk in [1, trace.len() + 1_000, usize::MAX] {
         let streamed = streamed_flat(
             &trace,
             &objects,
@@ -405,7 +438,7 @@ fn chunk_size_edges_replay_identically() {
         8,
     );
     assert_eq!(report.queries, 0);
-    assert_eq!(report.total_cost(), byc_types::Bytes::ZERO);
+    assert_eq!(report.total_cost(), Bytes::ZERO);
     assert!(report.conserves_delivery());
 }
 
@@ -465,4 +498,35 @@ fn per_shard_warnings_aggregate_across_all_shards() {
         total,
         replay.report.hits + replay.report.bypasses + replay.report.loads
     );
+}
+
+/// Sharding is not invisible against an *unsharded* policy: each shard
+/// gets a fixed slice of the capacity (`ShardPlan::split_capacity`), so
+/// evictions, and with them WAN cost, move. This pins the exact totals
+/// on one fixed trace so a change to the split shows up here instead of
+/// silently moving every sharded answer.
+#[test]
+fn sharding_changes_answers_by_a_pinned_amount() {
+    let (trace, objects, stats) = smoke(7, 1, 400);
+    let capacity = objects.total_size().scale(0.05);
+    let mut policy = build_policy(PolicyKind::Gds, capacity, &stats.demands, 7);
+    let unsharded = ReplaySession::new(&trace, &objects)
+        .policy(policy.as_mut())
+        .unaudited()
+        .run()
+        .unwrap()
+        .report;
+    let plan = ShardPlan::new(2, objects.len());
+    let mut sharded = build_sharded(PolicyKind::Gds, plan, capacity, &stats.demands, 7).unwrap();
+    let two = ReplaySession::new(&trace, &objects)
+        .shards(&mut sharded)
+        .unaudited()
+        .run()
+        .unwrap()
+        .report;
+    // Same demand either way; only the caching (and so the WAN) moves.
+    assert_eq!(unsharded.sequence_cost, two.sequence_cost);
+    assert_eq!(unsharded.total_cost(), Bytes::new(4_812_600));
+    assert_eq!(two.total_cost(), Bytes::new(16_195_600));
+    assert_ne!(unsharded.total_cost(), two.total_cost());
 }

@@ -227,12 +227,13 @@ proptest! {
     }
 }
 
-/// Windowed telemetry is chunking-invariant: a streamed replay whose
+/// Windowed telemetry is chunking-invariant: a chunked replay whose
 /// chunk boundaries straddle the window boundaries emits the same
-/// window snapshots — same tiling, same sums — as the in-memory replay.
+/// window snapshots — same tiling, same sums — as the uncompiled
+/// engine's replay of the whole trace.
 #[test]
 fn windows_are_identical_across_streamed_chunk_boundaries() {
-    use byc_federation::ReplaySession;
+    use byc_federation::{ReplayEngine, ReplaySession};
     use byc_telemetry::WindowedRegistry;
 
     let catalog = sdss::build(SdssRelease::Edr, 1e-4, 2);
@@ -241,23 +242,27 @@ fn windows_are_identical_across_streamed_chunk_boundaries() {
     let stats = WorkloadStats::compute(&trace, &objects);
     let capacity = objects.total_size().scale(0.25);
     for kind in [PolicyKind::RateProfile, PolicyKind::Gds] {
-        let run = |chunk: Option<usize>| {
+        let resident = {
             let mut policy = build_policy(kind, capacity, &stats.demands, 19);
             let mut windows = WindowedRegistry::new(kind.label(), 32);
-            let mut session = ReplaySession::new(&trace, &objects)
-                .policy(policy.as_mut())
-                .observe(&mut windows);
-            if let Some(c) = chunk {
-                session = session.streaming().chunk_size(c);
-            }
-            session.run().unwrap();
+            ReplayEngine::new(&objects).replay(&trace, policy.as_mut(), &mut [&mut windows]);
             windows.into_snapshots()
         };
-        let resident = run(None);
+        let run = |chunk: usize| {
+            let mut policy = build_policy(kind, capacity, &stats.demands, 19);
+            let mut windows = WindowedRegistry::new(kind.label(), 32);
+            ReplaySession::new(&trace, &objects)
+                .policy(policy.as_mut())
+                .observe(&mut windows)
+                .chunk_size(chunk)
+                .run()
+                .unwrap();
+            windows.into_snapshots()
+        };
         // 13 and 33 put chunk boundaries mid-window; 32 aligns them;
         // 1000 swallows the trace whole.
         for chunk in [1usize, 13, 32, 33, 1000] {
-            assert_eq!(resident, run(Some(chunk)), "{kind:?} chunk {chunk}");
+            assert_eq!(resident, run(chunk), "{kind:?} chunk {chunk}");
         }
     }
 }
