@@ -1,18 +1,18 @@
 //! Per-access scan detection: container walks inside the policy
 //! decision hot path.
 //!
-//! PR 10's hot-path rebuild (DESIGN.md §18) made every policy's
-//! steady-state decision amortized O(log n): utilities live in
-//! lazy-deletion heaps and eviction planning pops candidates instead of
-//! rescanning the cache. This pass keeps it that way. Starting from
-//! every `on_access`/`on_request` implementation in `byc-core` — the
+//! The policy hot path (DESIGN.md §18) keeps every policy's
+//! steady-state decision cheap: exact utilities live in indexed heaps
+//! and eviction planning pops candidates instead of rescanning the
+//! cache. This pass keeps it that way. Starting from every
+//! `on_access`/`on_request` implementation in `byc-core` — the
 //! per-access mouths of the policy layer — it walks the call graph and
 //! flags any whole-container traversal (`.iter()`, `.values_mut()`,
 //! `.sort_by(...)`, …) in a reachable `byc-core` function. A scan that
 //! runs on every access turns the decision path back into O(n); the
-//! few deliberate exceptions (amortized phase rebuilds, the
-//! debug-only reference planner) are carried in `audit.toml` with
-//! reasons, so a new scan cannot land silently.
+//! few deliberate exceptions (amortized phase rebuilds, Rate-Profile's
+//! victim load on a miss that needs room) are carried in `audit.toml`
+//! with reasons, so a new scan cannot land silently.
 
 use super::Workspace;
 use crate::ast::scan::calls_in;

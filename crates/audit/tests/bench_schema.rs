@@ -141,34 +141,39 @@ fn bench_replay_json_parses_and_validates() {
     let hot = doc.get("policy_hot_path").expect("policy_hot_path section");
     require_str(hot, "note", "policy_hot_path", &mut errs);
     require_str(hot, "date", "policy_hot_path", &mut errs);
-    let mut hot_policies: Option<Vec<&str>> = None;
-    for table in ["lazy_ms", "reference_planner_ms"] {
-        let Some(t) = hot.get(table) else {
-            errs.push(format!("policy_hot_path.{table}: missing"));
-            continue;
-        };
-        errs.extend(check_timing_table(t, table));
-        // Both tables cover the full 13-policy roster, same set.
-        if let Value::Object(entries) = t {
-            let mut keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
-            keys.sort_unstable();
-            if keys.len() != 13 {
-                errs.push(format!(
-                    "policy_hot_path.{table}: {} policies, expected the 13-policy roster",
-                    keys.len()
-                ));
-            }
-            match &hot_policies {
-                None => hot_policies = Some(keys),
-                Some(first) => {
-                    if *first != keys {
-                        errs.push(format!(
-                            "policy_hot_path.{table}: policy set {keys:?} differs from {first:?}"
-                        ));
-                    }
+    // The 15% rows cover the full 13-policy roster.
+    match hot.get("cache15_ms") {
+        Some(t) => {
+            errs.extend(check_timing_table(t, "policy_hot_path.cache15_ms"));
+            if let Value::Object(entries) = t {
+                if entries.len() != 13 {
+                    errs.push(format!(
+                        "policy_hot_path.cache15_ms: {} policies, expected the 13-policy roster",
+                        entries.len()
+                    ));
                 }
             }
         }
+        None => errs.push("policy_hot_path.cache15_ms: missing".into()),
+    }
+    // Rate-Profile's thin-cache rows are recorded at exactly 2% and 5%.
+    match hot.get("rate_profile_thin_cache_ms") {
+        Some(t) => {
+            errs.extend(check_timing_table(
+                t,
+                "policy_hot_path.rate_profile_thin_cache_ms",
+            ));
+            if let Value::Object(entries) = t {
+                let mut keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+                keys.sort_unstable();
+                if keys != ["cache02", "cache05"] {
+                    errs.push(format!(
+                        "policy_hot_path.rate_profile_thin_cache_ms: rows {keys:?}, expected cache02 and cache05"
+                    ));
+                }
+            }
+        }
+        None => errs.push("policy_hot_path.rate_profile_thin_cache_ms: missing".into()),
     }
     match hot.get("headline") {
         Some(Value::Object(entries)) if !entries.is_empty() => {

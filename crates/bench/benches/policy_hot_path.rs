@@ -1,15 +1,11 @@
-//! Per-policy decision-path cost: lazy incremental planning (the
-//! shipping configuration) versus the scan-based reference planner.
+//! Per-policy decision-path cost: every roster policy replays the same
+//! compiled DR1-style trace at 15% cache, and Rate-Profile additionally
+//! at 2% and 5%, where the cache is thin and most misses that pass the
+//! LAR test must rank victims (DESIGN.md §18.1).
 //!
-//! Both sides replay the same compiled DR1-style trace through the
-//! kernel's report sink (`ReplaySession::precompiled`), so the engine
-//! cost is identical
-//! and the difference isolates the policy hot path: lazy-deletion
-//! utility heaps plus reusable eviction scratch against the eager
-//! full-container rescans they replaced (DESIGN.md §18). The reference
-//! planner is bit-identical in its decisions (pinned by the
-//! `policy_hot_path_equivalence` proptest suite) — only the work per
-//! access differs.
+//! Every row replays through the kernel's report sink
+//! (`ReplaySession::precompiled`), so the engine cost is identical and
+//! the differences isolate the policy hot path.
 //!
 //! `BYC_PERF_SMOKE=1` trims the trace and the measurement windows for
 //! the CI perf-smoke job, which replays a short workload and gates on a
@@ -62,13 +58,12 @@ fn bench_policy_hot_path(c: &mut Criterion) {
     let smoke = std::env::var_os("BYC_PERF_SMOKE").is_some();
     let queries = if smoke { 2_000 } else { 10_000 };
 
-    // Same workload as `compiled_replay`, so the lazy numbers here line
-    // up with that bench's `compiled_amortized` series.
+    // Same workload as `compiled_replay`, so the 15% rows here line up
+    // with that bench's `compiled_amortized` series.
     let catalog = build(SdssRelease::Dr1, 1e-2, 1);
     let trace = generate(&catalog, &WorkloadConfig::smoke(29, queries)).unwrap();
     let objects = ObjectCatalog::uniform(&catalog, Granularity::Column);
     let stats = WorkloadStats::compute(&trace, &objects);
-    let capacity = objects.total_size().scale(0.15);
     let compiled = CompiledTrace::compile(&trace, &objects, &Uniform);
 
     let mut group = c.benchmark_group("policy_hot_path");
@@ -76,24 +71,20 @@ fn bench_policy_hot_path(c: &mut Criterion) {
     if smoke {
         group.sample_size(3);
     }
-    for kind in ALL_POLICIES {
-        group.bench_with_input(BenchmarkId::new("lazy", kind.label()), &kind, |b, &kind| {
+    let mut rows: Vec<(PolicyKind, f64)> = ALL_POLICIES.iter().map(|&k| (k, 0.15)).collect();
+    rows.extend([
+        (PolicyKind::RateProfile, 0.02),
+        (PolicyKind::RateProfile, 0.05),
+    ]);
+    for (kind, fraction) in rows {
+        let capacity = objects.total_size().scale(fraction);
+        let id = BenchmarkId::new(&format!("cache{:02.0}", fraction * 100.0), kind.label());
+        group.bench_with_input(id, &kind, |b, &kind| {
             b.iter(|| {
                 let mut policy = build_policy(kind, capacity, &stats.demands, 29);
                 replay(&trace, &objects, &compiled, policy.as_mut())
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("reference", kind.label()),
-            &kind,
-            |b, &kind| {
-                b.iter(|| {
-                    let mut policy = build_policy(kind, capacity, &stats.demands, 29);
-                    policy.debug_reference_planning(true);
-                    replay(&trace, &objects, &compiled, policy.as_mut())
-                })
-            },
-        );
     }
     group.finish();
 }

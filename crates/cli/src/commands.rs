@@ -373,6 +373,20 @@ fn parse_release(name: &str) -> Result<SdssRelease> {
     }
 }
 
+/// The release a trace file's header names, which picks the catalog that
+/// prices it: gen-trace writes `"EDR"` or `"DR1"`. Any other name is an
+/// error, never a silent default to one release's sizes.
+fn header_release(spec: &str, header_name: &str) -> Result<SdssRelease> {
+    match header_name {
+        "EDR" => Ok(SdssRelease::Edr),
+        "DR1" => Ok(SdssRelease::Dr1),
+        other => Err(Error::InvalidConfig(format!(
+            "trace {spec:?} names release {other:?} in its header (expected \"EDR\" or \"DR1\"), \
+             so no catalog can price it"
+        ))),
+    }
+}
+
 /// Load a trace by path, or synthesize the named release.
 ///
 /// Trace files carry yields computed against a catalog at some scale;
@@ -397,10 +411,10 @@ fn load_trace(
             Ok((catalog, trace))
         }
         Err(_) => {
-            // Treat as a file path; catalogs for external traces must match
-            // the trace's release, so default to EDR at the caller's scale.
+            // Treat as a file path, priced by the catalog of the release
+            // its header names, at the caller's scale.
             let trace = trace_io::read_trace(std::path::Path::new(spec))?;
-            let catalog = sdss::build(SdssRelease::Edr, scale, servers);
+            let catalog = sdss::build(header_release(spec, &trace.name)?, scale, servers);
             check_scale(spec, trace.sequence_cost(), trace.len(), &catalog)?;
             Ok((catalog, trace))
         }
@@ -986,10 +1000,10 @@ pub fn run_command(command: Command) -> Result<String> {
             let file_streamed = kind != PolicyKind::Static && parse_release(&trace).is_err();
             let mut reader_slot: Option<byc_workload::TraceReader> = None;
             let (catalog, resident) = if file_streamed {
-                reader_slot = Some(byc_workload::TraceReader::open(std::path::Path::new(
-                    &trace,
-                ))?);
-                (sdss::build(SdssRelease::Edr, scale, servers.max(1)), None)
+                let reader = byc_workload::TraceReader::open(std::path::Path::new(&trace))?;
+                let release = header_release(&trace, reader.name())?;
+                reader_slot = Some(reader);
+                (sdss::build(release, scale, servers.max(1)), None)
             } else {
                 let (catalog, trace) = load_trace(&trace, scale, seed, servers.max(1))?;
                 (catalog, Some(trace))
@@ -2730,6 +2744,78 @@ mod tests {
         let sharded_out = run_command(sharded_cmd).unwrap();
         assert!(sharded_out.contains("sharded replay:"), "{sharded_out}");
         assert_eq!(plain, strip(sharded_out), "1-sharded != resident");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_files_are_priced_by_the_release_their_header_names() {
+        // A gen-trace file replays exactly like the release synthesized in
+        // memory, for both releases: streamed (GDS) and loaded whole
+        // (Static). A DR1 file priced by the EDR catalog would bill every
+        // access at EDR sizes.
+        let dir = std::env::temp_dir();
+        for release in ["edr", "dr1"] {
+            let path = dir.join(format!(
+                "byc-cli-release-{release}-{}.jsonl",
+                std::process::id()
+            ));
+            run_command(Command::GenTrace {
+                release: release.into(),
+                out: path.clone(),
+                seed: 11,
+                scale: 0.001,
+                queries: 0,
+            })
+            .unwrap();
+            let file = path.to_string_lossy().into_owned();
+            for policy in ["gds", "static"] {
+                let run = |trace: &str| {
+                    let argv = [
+                        "run", trace, "--policy", policy, "--scale", "0.001", "--seed", "11",
+                    ];
+                    let out = run_command(parse_args(&args(&argv)).unwrap()).unwrap();
+                    out.lines()
+                        .filter(|l| !l.starts_with("streamed replay:"))
+                        .map(String::from)
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(run(release), run(&file), "{release} {policy}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn header_release_accepts_only_gen_trace_names() {
+        assert_eq!(header_release("t", "EDR").unwrap(), SdssRelease::Edr);
+        assert_eq!(header_release("t", "DR1").unwrap(), SdssRelease::Dr1);
+        for name in ["edr", "dr1", "DR2", ""] {
+            let err = header_release("t.jsonl", name).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{name}: {err}");
+            assert!(
+                err.to_string().contains(&format!("{name:?}")),
+                "{name}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_header_release_is_rejected() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!(
+            "byc-cli-release-smoke-{}.jsonl",
+            std::process::id()
+        ));
+        let catalog = sdss::build(SdssRelease::Edr, 0.001, 1);
+        let trace = generate(&catalog, &WorkloadConfig::smoke(3, 20)).unwrap();
+        trace_io::write_trace(&trace, &path).unwrap();
+        let file = path.to_string_lossy().into_owned();
+        for policy in ["gds", "static"] {
+            let argv = ["run", file.as_str(), "--policy", policy, "--scale", "0.001"];
+            let err = run_command(parse_args(&args(&argv)).unwrap()).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{policy}: {err}");
+            assert!(err.to_string().contains("\"smoke-20\""), "{policy}: {err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -27,19 +27,17 @@ pub struct CachedEntry {
 }
 
 /// A reusable eviction plan: the victims speculatively popped from the
-/// utility heap by [`CacheState::plan_eviction_into`] (or its lazy
-/// variant), waiting to be either committed ([`CacheState::commit_plan`])
-/// or rolled back ([`CacheState::abort_plan`]).
+/// utility heap by [`CacheState::plan_eviction_into`], waiting to be
+/// either committed ([`CacheState::commit_plan`]) or rolled back
+/// ([`CacheState::abort_plan`]).
 ///
 /// The buffer is owned by the policy and reused across accesses, so a
-/// steady-state decision makes no allocations; stored stamps let an
+/// steady-state decision makes no allocations; the stored keys let an
 /// aborted plan restore the heap to the exact pre-planning state.
 #[derive(Clone, Debug, Default)]
 pub struct EvictionPlan {
     /// Planned victims in eviction order: ascending `(utility, id)`.
     victims: Vec<(ObjectId, f64)>,
-    /// Heap stamp each victim carried when popped, parallel to `victims`.
-    stamps: Vec<u64>,
 }
 
 impl EvictionPlan {
@@ -71,12 +69,6 @@ impl EvictionPlan {
 
     fn clear(&mut self) {
         self.victims.clear();
-        self.stamps.clear();
-    }
-
-    fn push(&mut self, object: ObjectId, utility: f64, stamp: u64) {
-        self.victims.push((object, utility));
-        self.stamps.push(stamp);
     }
 }
 
@@ -88,10 +80,6 @@ pub struct CacheState {
     used: Bytes,
     entries: DenseMap<CachedEntry>,
     heap: IndexedMinHeap,
-    /// When set, victim selection finds minima by linear scan instead of
-    /// reading the heap root — the reference planner the equivalence
-    /// proptests compare against (see DESIGN.md §18).
-    reference_planning: bool,
 }
 
 impl CacheState {
@@ -102,18 +90,7 @@ impl CacheState {
             used: Bytes::ZERO,
             entries: DenseMap::new(),
             heap: IndexedMinHeap::new(),
-            reference_planning: false,
         }
-    }
-
-    /// Switch victim selection to (or from) the scan-based reference
-    /// planner. Decision streams must be bit-identical either way; the
-    /// toggle exists so equivalence tests can cross-check the heap
-    /// machinery against a structure-free implementation of the same
-    /// selection rule.
-    #[doc(hidden)]
-    pub fn set_reference_planning(&mut self, enabled: bool) {
-        self.reference_planning = enabled;
     }
 
     /// Configured capacity.
@@ -201,9 +178,7 @@ impl CacheState {
         Some(entry)
     }
 
-    /// Update the utility key of a cached object. The key is marked
-    /// never-decaying (always fresh): use [`Self::set_utility_at`] for
-    /// keys that decay between touches.
+    /// Update the utility key of a cached object.
     ///
     /// # Panics
     ///
@@ -211,19 +186,6 @@ impl CacheState {
     pub fn set_utility(&mut self, object: ObjectId, utility: f64) {
         assert!(self.contains(object), "set_utility on non-cached {object}");
         self.heap.update_key(object, utility);
-    }
-
-    /// Update the utility key of a cached object, recording that the key
-    /// is exact as of `now`. A later
-    /// [`Self::plan_eviction_lazy_into`] at a newer tick treats the entry
-    /// as stale and revalidates it before it can be popped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the object is not cached.
-    pub fn set_utility_at(&mut self, object: ObjectId, utility: f64, now: Tick) {
-        assert!(self.contains(object), "set_utility on non-cached {object}");
-        self.heap.update_stamped(object, utility, now.raw());
     }
 
     /// Current utility key of a cached object.
@@ -264,96 +226,18 @@ impl CacheState {
         }
         let mut freed = self.free();
         while freed < size {
-            let next = if self.reference_planning {
-                self.heap.scan_min()
-            } else {
-                self.heap.peek_min()
-            };
-            let Some((object, utility)) = next else {
+            let Some((object, utility)) = self.heap.pop_min() else {
                 break;
             };
-            let stamp = self
-                .heap
-                .stamp_of(object)
-                .unwrap_or(IndexedMinHeap::ALWAYS_FRESH);
-            self.heap.remove(object);
             freed += self.entries.get(object).map_or(Bytes::ZERO, |e| e.size);
-            plan.push(object, utility, stamp);
+            plan.victims.push((object, utility));
         }
         debug_assert!(freed >= size);
         true
     }
 
-    /// [`Self::plan_eviction_into`] under **lazy revalidation**: before an
-    /// entry can be selected as a victim, a stale key (stamped before
-    /// `now`) is recomputed by `rekey` from the entry's bookkeeping,
-    /// re-stamped, and the selection repeats. Victims therefore carry
-    /// keys exact at `now` without any full-cache sweep.
-    ///
-    /// `rekey` must satisfy the staleness invariant: a stale stored key
-    /// is an upper bound of the recomputed key (see DESIGN.md §18), which
-    /// is what keeps a revalidated minimum at the top and the loop
-    /// amortized O(log k) per selected victim. Note the invariant bounds
-    /// the *loop*, not the selection: victims are chosen in stored-key
-    /// order, which for decaying keys is not the same as current-key
-    /// order (DESIGN.md §18.1 documents the semantic gap).
-    // A heap key without a cache entry means the lazy heap diverged from
-    // the resident set; abort rather than plan phantom evictions. See
-    // audit.toml.
-    #[allow(clippy::expect_used)]
-    pub fn plan_eviction_lazy_into(
-        &mut self,
-        size: Bytes,
-        now: Tick,
-        mut rekey: impl FnMut(ObjectId, &CachedEntry) -> f64,
-        plan: &mut EvictionPlan,
-    ) -> bool {
-        plan.clear();
-        if size > self.capacity {
-            return false;
-        }
-        let now_raw = now.raw();
-        let mut freed = self.free();
-        while freed < size {
-            let entries = &self.entries;
-            let popped = if self.reference_planning {
-                // Scan-based reference: identical selection rule, no heap
-                // ordering consulted. Find the stored minimum; revalidate
-                // it if stale; repeat until the minimum is fresh.
-                loop {
-                    let Some((object, key)) = self.heap.scan_min() else {
-                        break None;
-                    };
-                    let stamp = self
-                        .heap
-                        .stamp_of(object)
-                        .unwrap_or(IndexedMinHeap::ALWAYS_FRESH);
-                    if stamp == IndexedMinHeap::ALWAYS_FRESH || stamp == now_raw {
-                        self.heap.remove(object);
-                        break Some((object, key));
-                    }
-                    let entry = entries.get(object).expect("heap entry without cache entry");
-                    let fresh = rekey(object, entry);
-                    self.heap.update_stamped(object, fresh, now_raw);
-                }
-            } else {
-                self.heap.pop_min_revalidated(now_raw, |object| {
-                    let entry = entries.get(object).expect("heap entry without cache entry");
-                    rekey(object, entry)
-                })
-            };
-            let Some((object, utility)) = popped else {
-                break;
-            };
-            freed += self.entries.get(object).map_or(Bytes::ZERO, |e| e.size);
-            plan.push(object, utility, now_raw);
-        }
-        debug_assert!(freed >= size);
-        true
-    }
-
-    /// Apply a plan: evict its victims and insert `object` (stamped exact
-    /// at `now`) in their place.
+    /// Apply a plan: evict its victims and insert `object`, loaded at
+    /// `now`, in their place.
     ///
     /// # Panics
     ///
@@ -390,16 +274,16 @@ impl CacheState {
             },
         );
         self.used += size;
-        self.heap.push_stamped(object, utility, now.raw());
+        self.heap.push(object, utility);
     }
 
     /// Roll a plan back: push every speculatively-popped victim back into
-    /// the utility heap with its original key and stamp. Because the heap
-    /// order is total, the restored heap pops identically to one that
-    /// never planned.
+    /// the utility heap with its original key. Because the heap order is
+    /// total, the restored heap pops identically to one that never
+    /// planned.
     pub fn abort_plan(&mut self, plan: &EvictionPlan) {
-        for (i, &(victim, utility)) in plan.victims().iter().enumerate() {
-            self.heap.push_stamped(victim, utility, plan.stamps[i]);
+        for &(victim, utility) in plan.victims() {
+            self.heap.push(victim, utility);
         }
     }
 
@@ -742,85 +626,65 @@ mod tests {
         assert_eq!(c.used(), Bytes::new(90));
     }
 
-    #[test]
-    fn lazy_plan_revalidates_stale_keys_before_popping() {
-        // Keys stamped at tick 1 are upper bounds; at tick 9 the stored
-        // minimum (object 5, 0.8) has decayed to 0.5. The lazy planner
-        // must revalidate it at the top and pop it with the exact-at-now
-        // key, never touching the entry stored behind it.
-        let mut c = cache(100);
-        c.insert(oid(2), Bytes::new(40), 0.0, Tick::new(1));
-        c.insert(oid(5), Bytes::new(40), 0.0, Tick::new(1));
-        c.set_utility_at(oid(2), 1.0, Tick::new(1));
-        c.set_utility_at(oid(5), 0.8, Tick::new(1));
-        let mut plan = EvictionPlan::new();
-        let current = |o: ObjectId, _e: &CachedEntry| if o == oid(5) { 0.5 } else { 1.0 };
-        assert!(c.plan_eviction_lazy_into(Bytes::new(30), Tick::new(9), current, &mut plan));
-        assert_eq!(plan.victims(), &[(oid(5), 0.5)]);
-        // The non-victim was never revalidated: its stored key survives.
-        assert_eq!(c.utility(oid(2)), Some(1.0));
-        c.abort_plan(&plan);
-        // The aborted victim went back stamped at tick 9, so a same-tick
-        // replan pops it fresh without any recomputation.
-        let mut again = EvictionPlan::new();
-        let strict =
-            |_: ObjectId, _: &CachedEntry| -> f64 { panic!("same-tick replan must not rekey") };
-        assert!(c.plan_eviction_lazy_into(Bytes::new(30), Tick::new(9), strict, &mut again));
-        assert_eq!(again.victims(), plan.victims());
-        c.abort_plan(&again);
+    /// Scan-based reference planner: select victims off a clone of the
+    /// heap by repeated linear-scan minimum, consulting no heap order.
+    fn plan_by_scan(c: &CacheState, size: Bytes) -> Option<Vec<(ObjectId, f64)>> {
+        if size > c.capacity() {
+            return None;
+        }
+        let mut heap = c.heap.clone();
+        let mut freed = c.free();
+        let mut victims = Vec::new();
+        while freed < size {
+            let (object, utility) = heap.scan_min()?;
+            heap.remove(object);
+            freed += c.entry(object)?.size;
+            victims.push((object, utility));
+        }
+        Some(victims)
     }
 
     #[test]
     fn reference_planning_matches_heap_planning_under_churn() {
-        // Two identical caches, one planning off the heap root and one by
-        // linear scan, must emit identical plans through random churn.
-        let mut fast = cache(500);
-        let mut reference = cache(500);
-        reference.set_reference_planning(true);
+        // Heap planning through the commit/abort protocol must emit the
+        // plan a structure-free linear scan selects, and leave the heap
+        // consistent after every commit and rollback.
+        let mut c = cache(500);
         let mut rng = byc_types::SplitMix64::new(23);
         let mut checked = 0u32;
         for step in 0..2_000u32 {
             let o = oid(rng.next_bounded(40) as u32);
             let now = Tick::new(step as u64);
-            if fast.contains(o) {
+            if c.contains(o) {
                 if rng.chance(0.2) {
-                    fast.remove(o);
-                    reference.remove(o);
+                    c.remove(o);
                 } else {
-                    let key = (rng.next_bounded(4) as f64) / 2.0;
-                    fast.set_utility_at(o, key, now);
-                    reference.set_utility_at(o, key, now);
+                    c.set_utility(o, (rng.next_bounded(4) as f64) / 2.0);
                 }
             } else {
                 let size = Bytes::new(rng.next_range(1, 150));
-                // Decay every stale key by half per elapsed tick — an
-                // upper-bound-preserving rekey rule.
-                let rekey = |_o: ObjectId, e: &CachedEntry| {
-                    let age = now.raw().saturating_sub(e.loaded_at.raw()) as f64;
-                    1.0 / (1.0 + age)
-                };
+                let expected = plan_by_scan(&c, size);
                 let mut plan = EvictionPlan::new();
-                let mut ref_plan = EvictionPlan::new();
-                let ok = fast.plan_eviction_lazy_into(size, now, rekey, &mut plan);
-                let ref_ok = reference.plan_eviction_lazy_into(size, now, rekey, &mut ref_plan);
-                assert_eq!(ok, ref_ok, "feasibility diverged at step {step}");
+                let ok = c.plan_eviction_into(size, &mut plan);
+                assert_eq!(
+                    ok,
+                    expected.is_some(),
+                    "feasibility diverged at step {step}"
+                );
                 assert_eq!(
                     plan.victims(),
-                    ref_plan.victims(),
+                    expected.as_deref().unwrap_or_default(),
                     "plans diverged at step {step}"
                 );
-                if ok {
+                if ok && rng.chance(0.7) {
                     checked += 1;
                     let u = (rng.next_bounded(4) as f64) / 2.0;
-                    fast.commit_plan(&plan, o, size, u, now);
-                    reference.commit_plan(&ref_plan, o, size, u, now);
+                    c.commit_plan(&plan, o, size, u, now);
                 } else {
-                    fast.abort_plan(&plan);
-                    reference.abort_plan(&ref_plan);
+                    c.abort_plan(&plan);
                 }
             }
-            assert!(fast.check_invariants().is_ok(), "step {step}");
-            assert!(reference.check_invariants().is_ok(), "step {step}");
+            assert!(c.check_invariants().is_ok(), "step {step}");
         }
         assert!(checked > 300, "churn exercised too few plans: {checked}");
     }

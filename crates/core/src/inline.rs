@@ -71,8 +71,8 @@ impl<R: UtilityRule> CachePolicy for InlineCache<R> {
             self.cache.set_utility(access.object, u);
             return Decision::Hit;
         }
-        // In-line keys are refreshed on every hit and load, so the heap is
-        // always exact: plain (non-lazy) planning suffices.
+        // In-line keys are refreshed on every hit and load, so the heap
+        // root is always the exact minimum-utility object.
         let mut plan = std::mem::take(&mut self.plan);
         if !self.cache.plan_eviction_into(access.size, &mut plan) {
             // Larger than the whole cache: physically uncacheable.
@@ -110,10 +110,6 @@ impl<R: UtilityRule> CachePolicy for InlineCache<R> {
 
     fn invalidate(&mut self, object: ObjectId) -> bool {
         self.cache.remove(object).is_some()
-    }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.cache.set_reference_planning(enabled);
     }
 }
 

@@ -198,14 +198,10 @@ pub trait CachePolicy {
         false
     }
 
-    /// Route victim selection through the scan-based reference planner
-    /// instead of the utility heap (see
-    /// [`CacheState::set_reference_planning`]). A no-op for policies
-    /// without heap-backed state; wrappers forward it. Decision streams
-    /// must be bit-identical either way — the equivalence proptests flip
-    /// this to cross-check the heap machinery.
-    ///
-    /// [`CacheState::set_reference_planning`]: crate::cache::CacheState::set_reference_planning
+    /// Does nothing. Every policy has exactly one victim-selection rule,
+    /// so there is no planning mode to switch; this method exists only so
+    /// that policy wrappers which override it to forward the call still
+    /// compile.
     #[doc(hidden)]
     fn debug_reference_planning(&mut self, enabled: bool) {
         let _ = enabled;
@@ -240,10 +236,6 @@ impl<P: CachePolicy + ?Sized> CachePolicy for &mut P {
     fn invalidate(&mut self, object: ObjectId) -> bool {
         (**self).invalidate(object)
     }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        (**self).debug_reference_planning(enabled)
-    }
 }
 
 impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
@@ -275,6 +267,9 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
         (**self).invalidate(object)
     }
 
+    // Forwarded so that a boxed wrapper which overrides the no-op still
+    // sees the call: without it, method resolution on a `Box<dyn
+    // CachePolicy>` stops at this impl and runs the default.
     fn debug_reference_planning(&mut self, enabled: bool) {
         (**self).debug_reference_planning(enabled)
     }

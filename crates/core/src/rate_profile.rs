@@ -24,7 +24,10 @@
 //! LAR against the RPs of the cheapest victims that would free enough
 //! space. Free cache space counts as a victim with RP = 0 (unused space
 //! saves nothing). The object is loaded iff every displaced savings rate
-//! is below the expected one; otherwise the query is bypassed.
+//! is below the expected one; otherwise the query is bypassed. Victims
+//! are the lowest-RP cached objects *at the decision tick*: RPs decay
+//! between touches at per-object rates, so they are computed afresh on
+//! every miss that needs room (DESIGN.md §18.1).
 //!
 //! Episodes (§4.3) segment an object's history into bursts: a new episode
 //! starts when the running profile falls below `c ·` its episode maximum
@@ -34,7 +37,7 @@
 //! metadata compact (§3).
 
 use crate::access::Access;
-use crate::cache::{CacheState, CachedEntry, EvictionPlan};
+use crate::cache::{CacheState, CachedEntry};
 use crate::dense::DenseMap;
 use crate::heap::SelectionHeap;
 use crate::policy::{CachePolicy, Decision, Evictions};
@@ -163,11 +166,6 @@ impl ObjectProfile {
 }
 
 /// The measured rate profile (Eq. 3) of a cached entry at `now`.
-///
-/// This is the rekey rule of the lazy utility heap (DESIGN.md §18): RP
-/// decays hyperbolically between touches, so a stored key stamped at an
-/// earlier tick is always an **upper bound** of the value this computes —
-/// the staleness invariant `plan_eviction_lazy_into` relies on.
 fn rate_of(entry: &CachedEntry, now: Tick) -> f64 {
     let elapsed = now.since_at_least_one(entry.loaded_at) as f64;
     let s = entry.size.as_f64().max(1.0);
@@ -180,18 +178,12 @@ pub struct RateProfile {
     cache: CacheState,
     config: RateProfileConfig,
     profiles: DenseMap<ObjectProfile>,
-    /// Reusable eviction-plan scratch: steady-state decisions allocate
-    /// nothing.
-    plan: EvictionPlan,
+    /// Reusable partial-selection scratch for [`Self::select_victims`],
+    /// keyed by RP at the decision tick.
+    victim_scratch: SelectionHeap<f64>,
     /// Reusable partial-selection scratch for [`Self::prune_profiles`],
     /// keyed by last-access tick (exact integer `(tick, id)` tie-break).
     prune_scratch: SelectionHeap<Tick>,
-    /// Reusable (object, rate) scratch for the eager-refresh reference
-    /// mode ([`Self::debug_eager_refresh`]).
-    refresh_scratch: Vec<(ObjectId, f64)>,
-    /// When set, every plan is preceded by a full-cache RP refresh — the
-    /// seed's eager victim-selection rule.
-    eager_refresh: bool,
 }
 
 impl RateProfile {
@@ -206,37 +198,9 @@ impl RateProfile {
             cache: CacheState::new(capacity),
             config,
             profiles: DenseMap::new(),
-            plan: EvictionPlan::new(),
+            victim_scratch: SelectionHeap::new(),
             prune_scratch: SelectionHeap::new(),
-            refresh_scratch: Vec::new(),
-            eager_refresh: false,
         }
-    }
-
-    /// Switch victim selection to the seed's **eager refresh** rule:
-    /// before every plan, recompute the RP of every cached object at the
-    /// access tick, so victims pop in ascending order of *current* rate.
-    /// The default lazy path instead pops by *stored-key* (last-observed
-    /// rate) order, settled exact at pop time — a documented semantic
-    /// difference whenever per-object decay curves cross (DESIGN.md
-    /// §18.1). This hook restores the pre-incremental behaviour at
-    /// O(cache) per miss for equivalence tests and impact measurement.
-    #[doc(hidden)]
-    pub fn debug_eager_refresh(&mut self, enabled: bool) {
-        self.eager_refresh = enabled;
-    }
-
-    /// Refresh the heap key of every cached object to its exact RP at
-    /// `now`, stamped `now` — after this the subsequent plan's stored-key
-    /// order *is* the current-rate order.
-    fn refresh_all(&mut self, now: Tick) {
-        let mut scratch = std::mem::take(&mut self.refresh_scratch);
-        scratch.clear();
-        scratch.extend(self.cache.iter().map(|(o, e)| (o, rate_of(e, now))));
-        for &(o, rp) in &scratch {
-            self.cache.set_utility_at(o, rp, now);
-        }
-        self.refresh_scratch = scratch;
     }
 
     /// The measured rate profile (Eq. 3) of a cached object at `now`.
@@ -326,6 +290,36 @@ impl RateProfile {
         }
     }
 
+    /// The victims a load of `size` bytes at `now` displaces, or `None`
+    /// if the load must be bypassed because some victim's RP is at least
+    /// `lar`.
+    ///
+    /// Victims are the cached objects of least RP at `now`, ascending by
+    /// `(RP, id)`, until free space covers `size`. If the object already
+    /// fits, nothing is displaced and no RP is computed. Otherwise every
+    /// resident RP is loaded into the reusable [`SelectionHeap`] in O(k)
+    /// and minima pop in O(log k) each — O(k + m log k) for m victims
+    /// among k cached objects — stopping at the first RP that is not
+    /// below `lar`. The caller has checked `size <= capacity`.
+    fn select_victims(&mut self, size: Bytes, lar: f64, now: Tick) -> Option<Evictions> {
+        let mut evictions = Evictions::new();
+        let mut freed = self.cache.free();
+        if freed >= size {
+            return Some(evictions);
+        }
+        self.victim_scratch
+            .load(self.cache.iter().map(|(o, e)| (o, rate_of(e, now))));
+        while freed < size {
+            let (victim, rp) = self.victim_scratch.pop_min()?;
+            if rp >= lar {
+                return None;
+            }
+            freed += self.cache.entry(victim).map_or(Bytes::ZERO, |e| e.size);
+            evictions.push(victim);
+        }
+        Some(evictions)
+    }
+
     /// Record the cache-lifetime performance of an evicted object as a
     /// closed episode so its history survives eviction: the episode's LAR
     /// is what LARP would have read had the object stayed outside,
@@ -357,90 +351,41 @@ impl CachePolicy for RateProfile {
         let now = access.time;
         if self.cache.contains(access.object) {
             self.cache.record_hit(access.object, access.yield_bytes);
-            // Re-key with the RP at the hit tick: every touch leaves the
-            // stored key exact-as-of-now, so between touches the stored
-            // key is an upper bound of the decaying true RP — the
-            // staleness invariant the lazy planner needs.
-            let rp = self
-                .cache
-                .entry(access.object)
-                .map_or(0.0, |e| rate_of(e, now));
-            self.cache.set_utility_at(access.object, rp, now);
             return Decision::Hit;
         }
 
         let lar = self.update_profile(access);
         self.prune_profiles();
 
-        if access.size > self.cache.capacity() {
+        // Only an object with a positive expected rate that can fit at
+        // all is worth planning for.
+        if lar <= 0.0 || access.size > self.cache.capacity() {
             return Decision::Bypass;
         }
-
-        // Victims surface from the lazy utility heap in *stored-key*
-        // (last-observed rate) order, each revalidated at `now` so it
-        // carries its exact current RP — no full-cache refresh sweep.
-        // See DESIGN.md §18.1 for how this selection rule differs from
-        // the eager argmin when decay curves cross.
-        if self.eager_refresh {
-            self.refresh_all(now);
-        }
-        let mut plan = std::mem::take(&mut self.plan);
-        if !self
-            .cache
-            .plan_eviction_lazy_into(access.size, now, |_, e| rate_of(e, now), &mut plan)
-        {
-            self.plan = plan;
+        let Some(evictions) = self.select_victims(access.size, lar, now) else {
             return Decision::Bypass;
-        }
-
-        // Load iff the expected rate beats every displaced one; untouched
-        // free space displaces a savings rate of zero.
-        let mut beats_victims = true;
-        for &(_, rp) in plan.victims() {
-            if rp < lar {
-                continue;
-            }
-            beats_victims = false;
-            break;
-        }
-        if !(beats_victims && lar > 0.0) {
-            self.cache.abort_plan(&plan);
-            self.plan = plan;
-            return Decision::Bypass;
-        }
+        };
 
         // Fold each victim's cache-lifetime performance into its profile,
         // then evict and load.
-        let mut evictions = Evictions::new();
-        for &(v, _) in plan.victims() {
+        for &v in evictions.as_slice() {
             // The fetch cost of a victim is unknown here; approximate it
             // by its size (the uniform-network assumption under which RPs
             // and LARs are compared in the first place).
             let vsize = self.cache.entry(v).map(|e| e.size).unwrap_or(Bytes::ZERO);
             self.absorb_eviction(v, now, vsize);
-            evictions.push(v);
+            self.cache.remove(v);
         }
-        self.cache
-            .commit_plan(&plan, access.object, access.size, 0.0, now);
+        // The utility key is never read: victims are ranked by RP at the
+        // decision tick, not by a stored key.
+        self.cache.insert(access.object, access.size, 0.0, now);
         // The triggering query is served from the fresh copy.
         self.cache.record_hit(access.object, access.yield_bytes);
-        // Re-key the newcomer with its actual post-hit rate, exactly like
-        // the hit path: committing it at 0.0 would leave a key that is a
-        // *lower* bound of the true rate — the wrong side of the
-        // staleness invariant — and a later miss in the same query (all
-        // accesses of one query share a tick) would trust the fresh-
-        // stamped 0.0 and evict the object it just loaded.
-        let rp = self
-            .cache
-            .entry(access.object)
-            .map_or(0.0, |e| rate_of(e, now));
-        self.cache.set_utility_at(access.object, rp, now);
         // Outside profile pauses while cached: close its open episode.
         if let Some(p) = self.profiles.get_mut(access.object) {
             let max_eps = self.config.max_episodes;
             p.close_episode(max_eps);
         }
-        self.plan = plan;
         Decision::Load { evictions }
     }
 
@@ -465,10 +410,6 @@ impl CachePolicy for RateProfile {
         // past savings rates no longer predict the new data's behaviour.
         self.profiles.remove(object);
         self.cache.remove(object).is_some()
-    }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.cache.set_reference_planning(enabled);
     }
 }
 
@@ -554,6 +495,36 @@ mod tests {
         let mut p = RateProfile::new(Bytes::new(50), RateProfileConfig::default());
         for i in 0..20 {
             assert!(p.on_access(&acc(0, i, 100, 100)).is_bypass());
+        }
+    }
+
+    #[test]
+    fn bypasses_when_any_needed_victim_rates_at_least_lar() {
+        let mut p = RateProfile::new(Bytes::new(200), RateProfileConfig::default());
+        let (o0, o1, o2) = (ObjectId::new(0), ObjectId::new(1), ObjectId::new(2));
+        // Object 0 loads at t=1 and is hit through t=10; object 1 loads
+        // at t=3 and is never hit again.
+        assert!(p.on_access(&acc(0, 0, 100, 100)).is_bypass());
+        assert!(p.on_access(&acc(0, 1, 100, 100)).is_load());
+        for t in 2..=10 {
+            assert!(p.on_access(&acc(0, t, 100, 100)).is_hit());
+        }
+        assert!(p.on_access(&acc(1, 2, 60, 100)).is_bypass());
+        assert!(p.on_access(&acc(1, 3, 60, 100)).is_load());
+        // Object 2 fills the whole cache, so a load must displace both.
+        // Its LAR beats object 1's RP but not object 0's: bypass, and the
+        // cache is untouched.
+        assert!(p.on_access(&acc(2, 48, 110, 200)).is_bypass());
+        assert!(p.on_access(&acc(2, 49, 110, 200)).is_bypass());
+        let lar = p.load_adjusted_rate(o2).unwrap();
+        let now = Tick::new(49);
+        assert!(p.rate_profile(o1, now).unwrap() < lar);
+        assert!(lar <= p.rate_profile(o0, now).unwrap());
+        assert!(p.contains(o0) && p.contains(o1));
+        // A burst lifts the LAR above both: evict in ascending RP order.
+        match p.on_access(&acc(2, 50, 400, 200)) {
+            Decision::Load { evictions } => assert_eq!(evictions.as_slice(), &[o1, o0]),
+            other => panic!("object 2 should load: {other:?}"),
         }
     }
 
@@ -663,11 +634,10 @@ mod tests {
     #[test]
     fn same_tick_miss_cannot_evict_a_just_loaded_object() {
         // All accesses of one query share a tick, so a miss can plan at
-        // the same tick an earlier miss committed a load. The newcomer
-        // is keyed with its actual post-hit rate (not a fresh-stamped
-        // 0.0), so a same-tick rival must genuinely beat that rate: here
-        // both rates are 0.8 and the strict `rp < lar` test fails — the
-        // just-loaded object survives.
+        // the same tick an earlier miss committed a load. The newcomer's
+        // RP at that tick is its post-hit rate, so a same-tick rival must
+        // genuinely beat it: here both rates are 0.8 and the strict
+        // `rp < lar` test fails — the just-loaded object survives.
         let mut p = RateProfile::new(Bytes::new(100), RateProfileConfig::default());
         assert!(p.on_access(&acc(0, 0, 80, 100)).is_bypass());
         assert!(p.on_access(&acc(1, 0, 90, 100)).is_bypass());
@@ -675,60 +645,117 @@ mod tests {
         let d = p.on_access(&acc(1, 1, 90, 100));
         assert!(d.is_bypass(), "same-tick rival evicted the newcomer: {d:?}");
         assert!(p.contains(ObjectId::new(0)));
-        // The newcomer's key is its true rate at the load tick.
         let rp = p.rate_profile(ObjectId::new(0), Tick::new(1)).unwrap();
         assert!((rp - 0.8).abs() < 1e-12, "{rp}");
     }
 
-    /// The documented semantic difference between the default lazy
-    /// selection (pop by last-observed rate) and the seed's eager
-    /// refresh-then-argmin sweep (DESIGN.md §18.1): per-object decay
-    /// curves cross, so the stored-key minimum need not be the
-    /// current-rate minimum. Object 0 was observed long ago at a modest
-    /// rate; object 1 was observed recently at a high rate but decays
-    /// faster (later `loaded_at`). At the decision tick the lazy path
-    /// evicts object 0 (lowest *stored* rate), the eager path evicts
-    /// object 1 (lowest *current* rate).
+    /// Per-object decay curves cross, so the minimum *last-observed* RP
+    /// (the selection rule of a lazy stamped heap) and the minimum
+    /// *current* RP (the paper's rule) pick different victims. Object 0
+    /// was observed long ago at a modest rate; object 1 was observed
+    /// recently at a higher rate but decays faster (later `loaded_at`).
+    /// At the decision tick the two rules diverge, and the policy must
+    /// follow the current rate and evict object 1.
     #[test]
     fn lazy_and_eager_selection_diverge_when_decay_curves_cross() {
-        let run = |eager: bool| {
-            let mut p = RateProfile::new(Bytes::new(200), RateProfileConfig::default());
-            p.debug_eager_refresh(eager);
-            // Object 0: loads at t=1, hits through t=10.
-            // Stored key at t=10: 1000/(9·100) ≈ 1.11.
-            assert!(p.on_access(&acc(0, 0, 100, 100)).is_bypass());
-            assert!(p.on_access(&acc(0, 1, 100, 100)).is_load());
-            for t in 2..=10 {
-                assert!(p.on_access(&acc(0, t, 100, 100)).is_hit());
-            }
-            // Object 1: loads at t=10, hit at t=11.
-            // Stored key at t=11: 200/(1·100) = 2 > object 0's stored key,
-            // but it decays faster: by t≈999 its current rate (~0.002) is
-            // far below object 0's (~0.01).
-            assert!(p.on_access(&acc(1, 9, 100, 100)).is_bypass());
-            assert!(p.on_access(&acc(1, 10, 100, 100)).is_load());
-            assert!(p.on_access(&acc(1, 11, 100, 100)).is_hit());
-            // Object 2 arrives much later and needs one eviction.
-            assert!(p.on_access(&acc(2, 998, 100, 100)).is_bypass());
-            p.on_access(&acc(2, 999, 100, 100))
-        };
-        let lazy = run(false);
-        let eager = run(true);
-        match (&lazy, &eager) {
-            (Decision::Load { evictions: l }, Decision::Load { evictions: e }) => {
-                assert_eq!(
-                    l.as_slice(),
-                    &[ObjectId::new(0)],
-                    "lazy evicts by stored rate"
-                );
-                assert_eq!(
-                    e.as_slice(),
-                    &[ObjectId::new(1)],
-                    "eager evicts by current rate"
-                );
-            }
-            other => panic!("both modes should load: {other:?}"),
+        let mut p = RateProfile::new(Bytes::new(200), RateProfileConfig::default());
+        let (o0, o1) = (ObjectId::new(0), ObjectId::new(1));
+        // Object 0: loads at t=1, hits through t=10.
+        assert!(p.on_access(&acc(0, 0, 100, 100)).is_bypass());
+        assert!(p.on_access(&acc(0, 1, 100, 100)).is_load());
+        for t in 2..=10 {
+            assert!(p.on_access(&acc(0, t, 100, 100)).is_hit());
         }
+        // Object 1: loads at t=10, hit at t=11.
+        assert!(p.on_access(&acc(1, 9, 100, 100)).is_bypass());
+        assert!(p.on_access(&acc(1, 10, 100, 100)).is_load());
+        assert!(p.on_access(&acc(1, 11, 100, 100)).is_hit());
+        // Last observed, object 0 rates 1000/(9·100) ≈ 1.11 and object 1
+        // rates 200/(1·100) = 2; by t=999 object 1 has decayed to ~0.002,
+        // below object 0's ~0.01.
+        let rate = |o, t| p.rate_profile(o, Tick::new(t)).unwrap();
+        assert!(
+            rate(o0, 10) < rate(o1, 11),
+            "stored rates rank object 0 lowest"
+        );
+        assert!(
+            rate(o1, 999) < rate(o0, 999),
+            "current rates rank object 1 lowest"
+        );
+        // Object 2 arrives much later and needs one eviction.
+        assert!(p.on_access(&acc(2, 998, 100, 100)).is_bypass());
+        match p.on_access(&acc(2, 999, 100, 100)) {
+            Decision::Load { evictions } => {
+                assert_eq!(
+                    evictions.as_slice(),
+                    &[o1],
+                    "victim is the current-rate minimum"
+                );
+            }
+            other => panic!("object 2 should load: {other:?}"),
+        }
+    }
+
+    /// Brute-force oracle for victim selection: before every access,
+    /// snapshot the cache and sort it by `(RP at now, id)`. A load must
+    /// evict exactly the shortest prefix of that order that frees room;
+    /// a bypass of an object that could fit must be explained by a
+    /// non-positive LAR or a prefix victim whose RP is at least the LAR.
+    #[test]
+    fn victims_are_the_prefix_of_a_full_sort_by_current_rate() {
+        let capacity = Bytes::new(600);
+        let mut p = RateProfile::new(capacity, RateProfileConfig::default());
+        let mut rng = byc_types::SplitMix64::new(19);
+        let mut evicting_loads = 0u32;
+        for t in 0..20_000u64 {
+            // Skewed popularity over a hot set that drifts every 1000
+            // accesses, so loads keep displacing cooled objects; sizes
+            // are a stable function of the id.
+            let skewed = rng.next_bounded(40) * rng.next_bounded(40) / 40;
+            let o = ((t / 1000) * 7 + skewed) as u32 % 80;
+            let size = 50 + (u64::from(o) * 37) % 200;
+            let now = Tick::new(t / 3);
+            let mut by_rate: Vec<(ObjectId, f64, Bytes)> = p
+                .cache
+                .iter()
+                .map(|(id, e)| (id, rate_of(e, now), e.size))
+                .collect();
+            by_rate.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            let free = p.cache.free();
+            let size_b = Bytes::new(size);
+            let mut prefix = Vec::new();
+            let mut freed = free;
+            for &(id, rp, bytes) in &by_rate {
+                if freed >= size_b {
+                    break;
+                }
+                freed += bytes;
+                prefix.push((id, rp));
+            }
+            let object = ObjectId::new(o);
+            let yield_bytes = rng.next_bounded(size) + 1;
+            match p.on_access(&acc(o, now.raw(), yield_bytes, size)) {
+                Decision::Hit => {}
+                Decision::Load { evictions } => {
+                    let expected: Vec<ObjectId> = prefix.iter().map(|&(id, _)| id).collect();
+                    assert_eq!(evictions.as_slice(), &expected[..], "step {t}");
+                    if !evictions.is_empty() {
+                        evicting_loads += 1;
+                    }
+                }
+                Decision::Bypass => {
+                    let lar = p.load_adjusted_rate(object).unwrap();
+                    assert!(
+                        lar <= 0.0 || prefix.iter().any(|&(_, rp)| rp >= lar),
+                        "step {t}: bypassed with LAR {lar} above every victim RP"
+                    );
+                }
+            }
+        }
+        assert!(
+            evicting_loads > 100,
+            "too few evicting loads: {evicting_loads}"
+        );
     }
 
     #[test]

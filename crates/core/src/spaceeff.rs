@@ -90,10 +90,6 @@ impl<A: BypassObjectAlgorithm> CachePolicy for SpaceEffBY<A> {
     fn invalidate(&mut self, object: ObjectId) -> bool {
         self.inner.invalidate(object)
     }
-
-    fn debug_reference_planning(&mut self, enabled: bool) {
-        self.inner.debug_reference_planning(enabled);
-    }
 }
 
 #[cfg(test)]
