@@ -771,16 +771,21 @@ impl Feed<'_> {
                     }
                 }
             }
-            Feed::Reader { reader, chunk } => loop {
-                let queries = reader.next_chunk(chunk)?;
-                if queries.is_empty() {
-                    break;
+            Feed::Reader { reader, chunk } => {
+                // One chunk buffer for the whole file: each refill
+                // reuses the previous chunk's queries and their buffers.
+                let mut queries = Vec::new();
+                loop {
+                    reader.next_chunk_into(&mut queries, chunk)?;
+                    if queries.is_empty() {
+                        break;
+                    }
+                    fed = fed.saturating_add(queries.len());
+                    if !each(Cow::Owned(compiler.compile(&queries)), &queries) {
+                        break;
+                    }
                 }
-                fed = fed.saturating_add(queries.len());
-                if !each(Cow::Owned(compiler.compile(&queries)), &queries) {
-                    break;
-                }
-            },
+            }
         }
         Ok(fed)
     }

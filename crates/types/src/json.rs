@@ -6,6 +6,11 @@
 //! deterministic: objects preserve insertion order (no hash-map
 //! iteration), and integers round-trip exactly through [`Num::U`]/[`Num::I`]
 //! instead of being squeezed through `f64`.
+//!
+//! [`Cursor`] is the one JSON grammar in the workspace. [`Value::parse`]
+//! builds a tree over it; hot readers (the trace decoder) pull fields off
+//! it directly into their own buffers. [`write_escaped`] is the one
+//! string escaper, shared by [`Value`]'s `Display` and direct writers.
 
 use std::fmt;
 
@@ -25,14 +30,16 @@ pub enum Num {
 }
 
 impl Num {
-    /// The value as `u64`, if non-negative integral.
-    // The cast is guarded: v is non-negative, integral, and ≤ u64::MAX.
+    /// The value as `u64`, if non-negative integral and below 2^64.
+    // The cast is guarded: v is non-negative, integral, and < 2^64.
     #[allow(clippy::cast_possible_truncation)]
     pub fn as_u64(self) -> Option<u64> {
+        /// 2^64, the first integral `f64` that no `u64` holds.
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
             Num::U(v) => Some(v),
             Num::I(v) => u64::try_from(v).ok(),
-            Num::F(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => Some(v as u64),
+            Num::F(v) if v >= 0.0 && v.fract() == 0.0 && v < TWO_POW_64 => Some(v as u64),
             Num::F(_) => None,
         }
     }
@@ -144,17 +151,47 @@ impl Value {
     ///
     /// A human-readable message with the byte offset of the failure.
     pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
-        }
+        let mut cur = Cursor::new(input.as_bytes());
+        let v = Value::build(&mut cur)?;
+        cur.end()?;
         Ok(v)
+    }
+
+    /// Build the value at the cursor into a tree.
+    fn build(cur: &mut Cursor<'_>) -> Result<Value, String> {
+        Ok(match cur.kind()? {
+            Kind::Null => {
+                cur.literal(b"null")?;
+                Value::Null
+            }
+            Kind::Bool => Value::Bool(cur.bool()?),
+            Kind::Number => Value::Number(cur.number()?),
+            Kind::String => {
+                let mut s = String::new();
+                cur.string_into(&mut s)?;
+                Value::String(s)
+            }
+            Kind::Array => {
+                let mut items = Vec::new();
+                let mut more = cur.begin_array()?;
+                while more {
+                    items.push(Value::build(cur)?);
+                    more = cur.next_element()?;
+                }
+                Value::Array(items)
+            }
+            Kind::Object => {
+                let mut fields = Vec::new();
+                let mut more = cur.begin_object()?;
+                while more {
+                    let mut key = String::new();
+                    cur.key_into(&mut key)?;
+                    fields.push((key, Value::build(cur)?));
+                    more = cur.next_member()?;
+                }
+                Value::Object(fields)
+            }
+        })
     }
 }
 
@@ -180,20 +217,37 @@ impl std::ops::Index<&str> for Value {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Write `s` as a JSON string literal: quoted, with `"`, `\` and
+/// control characters escaped and everything else verbatim. The one
+/// escaper behind [`Value`]'s `Display` and every direct JSON writer, so
+/// both emit the same bytes.
+///
+/// # Errors
+///
+/// Whatever `out` returns; writing into a `String` cannot fail.
+pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        let (plain, tail) = rest.split_at(at);
+        out.write_str(plain)?;
+        let mut chars = tail.chars();
+        match chars.next() {
+            Some('"') => out.write_str("\\\"")?,
+            Some('\\') => out.write_str("\\\\")?,
+            Some('\n') => out.write_str("\\n")?,
+            Some('\r') => out.write_str("\\r")?,
+            Some('\t') => out.write_str("\\t")?,
+            Some(c) => write!(out, "\\u{:04x}", u32::from(c))?,
+            None => {}
         }
+        rest = chars.as_str();
     }
-    f.write_str("\"")
+    out.write_str(rest)?;
+    out.write_char('"')
 }
 
 impl fmt::Display for Value {
@@ -243,28 +297,97 @@ impl fmt::Display for Value {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Deepest array/object nesting a [`Cursor`] accepts. Deeper input is
+/// an error rather than a stack overflow in the recursive tree builder.
+pub const MAX_DEPTH: usize = 128;
+
+/// The kind of the next JSON value, told from its first byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Null,
+    Bool,
+    Number,
+    String,
+    Array,
+    Object,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+/// A pull cursor over one JSON document: the workspace's JSON grammar.
+///
+/// The caller drives it value by value: [`Cursor::u64_literal`] and
+/// [`Cursor::string_into`] read scalars;
+/// [`Cursor::begin_array`]/[`Cursor::next_element`] and
+/// [`Cursor::begin_object`]/[`Cursor::key_into`]/[`Cursor::next_member`]
+/// walk containers; [`Cursor::skip_value`] validates and skips anything
+/// unwanted; [`Cursor::end`] rejects trailing content. [`Value::parse`]
+/// builds its tree over the same reads. Every read skips leading
+/// whitespace first. Errors are messages carrying the byte offset of
+/// the failure. The cursor never panics on any input.
+///
+/// ```
+/// use byc_types::json::Cursor;
+///
+/// let mut cur = Cursor::new(br#"{"n": 7, "tags": ["a"]}"#);
+/// let mut key = String::new();
+/// let mut n = None;
+/// let mut more = cur.begin_object()?;
+/// while more {
+///     cur.key_into(&mut key)?;
+///     match key.as_str() {
+///         "n" => n = Some(cur.u64_literal()?),
+///         _ => cur.skip_value()?,
+///     }
+///     more = cur.next_member()?;
+/// }
+/// cur.end()?;
+/// assert_eq!(n, Some(7));
+/// # Ok::<(), String>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+// The per-token reads are `#[inline]`: the trace decoder calls them from
+// another crate once per token, where they would otherwise stay
+// out-of-line calls.
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `bytes`.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            pos: 0,
+            depth: 0,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// Byte offset of the next unread byte.
+    #[inline]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    /// The next byte, without skipping whitespace or consuming it.
+    #[inline]
+    fn at(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
+    /// Skip whitespace, then consume `b` or fail.
+    #[inline]
+    fn eat(&mut self, b: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.at() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -272,108 +395,169 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
+    /// Skip whitespace and require that nothing else follows.
+    ///
+    /// # Errors
+    ///
+    /// Trailing content after the document.
+    #[inline]
+    pub fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(format!("trailing content at byte {}", self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
+    /// The kind of the next value, without consuming it.
+    #[inline]
+    fn kind(&mut self) -> Result<Kind, String> {
+        self.skip_ws();
+        match self.at() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::String),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
             Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    #[inline]
+    fn literal(&mut self, word: &[u8]) -> Result<(), String> {
+        self.skip_ws();
+        match self.bytes.get(self.pos..) {
+            Some(rest) if rest.starts_with(word) => {
+                self.pos += word.len();
+                Ok(())
+            }
+            _ => Err(format!("invalid literal at byte {}", self.pos)),
+        }
+    }
+
+    /// Read `true` or `false`.
+    fn bool(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        if self.at() == Some(b't') {
+            self.literal(b"true").map(|()| true)
+        } else {
+            self.literal(b"false").map(|()| false)
+        }
+    }
+
+    /// Read a number, keeping its lexical class: an integer literal is
+    /// [`Num::U`] when it fits a `u64` and [`Num::I`] when it fits an
+    /// `i64`; anything else is [`Num::F`].
+    #[inline]
+    fn number(&mut self) -> Result<Num, String> {
+        self.skip_ws();
+        let start = self.pos;
+        let negative = match self.at() {
+            Some(b'-') => true,
+            Some(b'0'..=b'9') => false,
+            _ => return Err(format!("expected a number at byte {start}")),
+        };
+        if negative {
+            self.pos += 1;
+        }
+        // Leading digits accumulate on the fly, so the common integer
+        // needs no second pass: 19 digits cannot overflow a u64.
+        let digits_at = self.pos;
+        let mut acc = 0u64;
+        while let Some(&b) = self.bytes.get(self.pos).filter(|b| b.is_ascii_digit()) {
+            acc = acc.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+            self.pos += 1;
+        }
+        let digits = self.pos - digits_at;
+        // The rest of the token: any digit, sign, point or exponent.
+        let mut fractional = false;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.bytes.get(self.pos) {
+            fractional = true;
+            self.pos += 1;
+        }
+        if !negative && !fractional && (1..=19).contains(&digits) {
+            return Ok(Num::U(acc));
+        }
+        let token = self.bytes.get(start..self.pos).unwrap_or_default();
+        let text = std::str::from_utf8(token).map_err(|_| format!("bad number at byte {start}"))?;
+        if !fractional {
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Num::U(v));
+            }
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(Num::I(v));
+            }
+        }
+        text.parse::<f64>()
+            .map(Num::F)
+            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    }
+
+    /// Read an integer literal as `u64`: a number with no fraction or
+    /// exponent whose value is in `u64` range.
+    ///
+    /// # Errors
+    ///
+    /// A non-number, a fraction or exponent (even an integral one such as
+    /// `5.0` or `1e3`), or a value outside `0..2^64`.
+    #[inline]
+    pub fn u64_literal(&mut self) -> Result<u64, String> {
+        let at = self.pos;
+        match self.number()? {
+            Num::U(v) => Ok(v),
+            Num::I(v) => u64::try_from(v).map_err(|_| format!("negative integer at byte {at}")),
+            Num::F(_) => Err(format!("expected an integer literal at byte {at}")),
+        }
+    }
+
+    /// Read a string into `out`, replacing its contents (and reusing its
+    /// capacity). Escapes are decoded; a `\u` escape that names no
+    /// scalar value (an unpaired surrogate) decodes to U+FFFD.
+    ///
+    /// # Errors
+    ///
+    /// A non-string, a bad escape, a raw control byte, invalid UTF-8, or
+    /// a missing closing quote.
+    #[inline]
+    pub fn string_into(&mut self, out: &mut String) -> Result<(), String> {
+        out.clear();
+        self.scan_string(Some(out))
+    }
+
+    /// Read (`out` = `Some`) or validate and skip (`None`) a string.
+    #[inline]
+    fn scan_string(&mut self, mut out: Option<&mut String>) -> Result<(), String> {
+        self.eat(b'"')?;
         loop {
             let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
+            // Fast path: a run of plain bytes.
+            let rest = self.bytes.get(start..).unwrap_or_default();
+            let plain = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            self.pos += plain;
+            if plain > 0 {
+                let run = rest.get(..plain).unwrap_or_default();
+                let chunk = std::str::from_utf8(run)
+                    .map_err(|e| format!("invalid UTF-8 at byte {}", start + e.valid_up_to()))?;
+                if let Some(out) = out.as_deref_mut() {
+                    out.push_str(chunk);
                 }
-                self.pos += 1;
             }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                out.push_str(chunk);
-            }
-            match self.peek() {
+            match self.at() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("dangling escape at byte {}", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| format!("short \\u escape at byte {}", self.pos))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs: read the low half if present.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    let lo_hex = self
-                                        .bytes
-                                        .get(self.pos + 2..self.pos + 6)
-                                        .and_then(|h| std::str::from_utf8(h).ok())
-                                        .ok_or_else(|| {
-                                            format!("short surrogate at byte {}", self.pos)
-                                        })?;
-                                    let lo = u32::from_str_radix(lo_hex, 16).map_err(|_| {
-                                        format!("bad surrogate at byte {}", self.pos)
-                                    })?;
-                                    self.pos += 6;
-                                    let combined =
-                                        0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.unwrap_or('\u{FFFD}'));
-                        }
-                        _ => {
-                            return Err(format!(
-                                "unknown escape {:?} at byte {}",
-                                esc as char,
-                                self.pos - 1
-                            ))
-                        }
+                    let c = self.escape()?;
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
                 }
                 _ => return Err(format!("unterminated string at byte {}", self.pos)),
@@ -381,84 +565,193 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut fractional = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
+    /// Decode one escape; the cursor sits just past its backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let esc = self
+            .at()
+            .ok_or_else(|| format!("dangling escape at byte {}", self.pos))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000c}',
+            b'u' => {
+                let code = self.hex4()?;
+                if (0xD800..0xDC00).contains(&code) {
+                    // A high surrogate combines with a following low one;
+                    // anything else leaves it unpaired.
+                    let paired = self
+                        .bytes
+                        .get(self.pos..)
+                        .is_some_and(|rest| rest.starts_with(b"\\u"));
+                    let mut ahead = self.clone();
+                    ahead.pos += 2;
+                    match paired.then(|| ahead.hex4()).transpose()? {
+                        Some(lo @ 0xDC00..=0xDFFF) => {
+                            *self = ahead;
+                            let combined = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+                            char::from_u32(combined).unwrap_or('\u{FFFD}')
+                        }
+                        _ => '\u{FFFD}',
+                    }
+                } else {
+                    char::from_u32(code).unwrap_or('\u{FFFD}')
                 }
-                _ => break,
             }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        if !fractional {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Number(Num::U(v)));
+            _ => {
+                return Err(format!(
+                    "unknown escape {:?} at byte {}",
+                    esc as char,
+                    self.pos - 1
+                ))
             }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Value::Number(Num::I(v)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|v| Value::Number(Num::F(v)))
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+        })
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| format!("short \\u escape at byte {}", self.pos))?;
+        let code = std::str::from_utf8(hex)
+            .ok()
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
+    }
+
+    #[inline]
+    fn enter(&mut self, b: u8) -> Result<bool, String> {
+        self.eat(b)?;
+        if self.depth >= MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos - 1
+            ));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
+        self.depth += 1;
+        let close = if b == b'[' { b']' } else { b'}' };
+        self.skip_ws();
+        if self.at() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            Ok(false)
+        } else {
+            Ok(true)
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    #[inline]
+    fn after_item(&mut self, close: u8) -> Result<bool, String> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
+        match self.at() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            _ => Err(format!(
+                "expected ',' or {:?} at byte {}",
+                close as char, self.pos
+            )),
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
+    }
+
+    /// Enter an array. `true` when an element follows, `false` when the
+    /// array was empty (and is already closed).
+    ///
+    /// # Errors
+    ///
+    /// A non-array, or nesting deeper than [`MAX_DEPTH`].
+    #[inline]
+    pub fn begin_array(&mut self) -> Result<bool, String> {
+        self.enter(b'[')
+    }
+
+    /// After an element: `true` when another follows, `false` when the
+    /// array closed.
+    ///
+    /// # Errors
+    ///
+    /// Anything but `,` or `]`.
+    #[inline]
+    pub fn next_element(&mut self) -> Result<bool, String> {
+        self.after_item(b']')
+    }
+
+    /// Enter an object. `true` when a member follows, `false` when the
+    /// object was empty (and is already closed).
+    ///
+    /// # Errors
+    ///
+    /// A non-object, or nesting deeper than [`MAX_DEPTH`].
+    #[inline]
+    pub fn begin_object(&mut self) -> Result<bool, String> {
+        self.enter(b'{')
+    }
+
+    /// Read a member's key into `key` (replacing its contents) and the
+    /// `:` after it; the member's value comes next.
+    ///
+    /// # Errors
+    ///
+    /// A bad key string or a missing `:`.
+    #[inline]
+    pub fn key_into(&mut self, key: &mut String) -> Result<(), String> {
+        self.string_into(key)?;
+        self.eat(b':')
+    }
+
+    /// After a member's value: `true` when another member follows,
+    /// `false` when the object closed.
+    ///
+    /// # Errors
+    ///
+    /// Anything but `,` or `}`.
+    #[inline]
+    pub fn next_member(&mut self) -> Result<bool, String> {
+        self.after_item(b'}')
+    }
+
+    /// Validate and skip the next value, containers included.
+    ///
+    /// # Errors
+    ///
+    /// Whatever reading the value would report.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        match self.kind()? {
+            Kind::Null => self.literal(b"null"),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.scan_string(None),
+            Kind::Array => {
+                let mut more = self.begin_array()?;
+                while more {
+                    self.skip_value()?;
+                    more = self.next_element()?;
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                Ok(())
+            }
+            Kind::Object => {
+                let mut more = self.begin_object()?;
+                while more {
+                    self.scan_string(None)?;
+                    self.eat(b':')?;
+                    self.skip_value()?;
+                    more = self.next_member()?;
+                }
+                Ok(())
             }
         }
     }
@@ -551,5 +844,141 @@ mod tests {
         assert_eq!(v["f"].as_u64(), None);
         assert_eq!(v["s"].as_str(), Some("x"));
         assert_eq!(v["s"].as_u64(), None);
+    }
+
+    #[test]
+    fn as_u64_rejects_two_pow_64() {
+        assert_eq!(Num::F(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(Value::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            Num::F(18_446_744_073_709_549_568.0).as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
+    }
+
+    #[test]
+    fn unpaired_surrogates_decode_to_replacement() {
+        // A high surrogate followed by a non-surrogate escape keeps the
+        // second escape (the pair arithmetic used to underflow here).
+        assert_eq!(Value::parse(r#""\ud800\u0041""#).unwrap(), "\u{FFFD}A");
+        assert_eq!(
+            Value::parse(r#""\ud800\ud800\udc00""#).unwrap(),
+            "\u{FFFD}\u{10000}"
+        );
+        assert_eq!(Value::parse(r#""\ud800x""#).unwrap(), "\u{FFFD}x");
+        assert_eq!(Value::parse(r#""\udc00""#).unwrap(), "\u{FFFD}");
+        assert_eq!(Value::parse(r#""\ud800😀""#).unwrap(), "\u{FFFD}\u{1F600}");
+        assert!(Value::parse(r#""\ud800\u00""#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1 << 20);
+        assert!(Value::parse(&deep).is_err());
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Value::parse(&over).is_err());
+        assert!(Cursor::new(deep.as_bytes()).skip_value().is_err());
+    }
+
+    #[test]
+    fn cursor_reads_fields_and_skips_the_rest() {
+        let text = r#" { "s" : "a\"b" , "skip" : {"x":[1,{"y":null}],"z":"é"},
+            "n":18446744073709551615, "list":[1, 2 ,3], "b": true } "#;
+        let mut cur = Cursor::new(text.as_bytes());
+        let (mut key, mut s, mut n, mut list, mut b) =
+            (String::new(), String::new(), 0, vec![], false);
+        let mut more = cur.begin_object().unwrap();
+        while more {
+            cur.key_into(&mut key).unwrap();
+            match key.as_str() {
+                "s" => cur.string_into(&mut s).unwrap(),
+                "n" => n = cur.u64_literal().unwrap(),
+                "b" => b = cur.bool().unwrap(),
+                "list" => {
+                    let mut item = cur.begin_array().unwrap();
+                    while item {
+                        list.push(cur.u64_literal().unwrap());
+                        item = cur.next_element().unwrap();
+                    }
+                }
+                _ => cur.skip_value().unwrap(),
+            }
+            more = cur.next_member().unwrap();
+        }
+        cur.end().unwrap();
+        assert_eq!(
+            (s.as_str(), n, list, b),
+            ("a\"b", u64::MAX, vec![1, 2, 3], true)
+        );
+    }
+
+    #[test]
+    fn u64_literal_takes_integer_literals_only() {
+        let read = |text: &str| Cursor::new(text.as_bytes()).u64_literal();
+        assert_eq!(read("42"), Ok(42));
+        assert_eq!(read("007"), Ok(7));
+        assert_eq!(read("-0"), Ok(0));
+        for bad in [
+            "5.0",
+            "1e3",
+            "9007199254740993.0",
+            "-1",
+            "18446744073709551616",
+            "\"1\"",
+            "",
+        ] {
+            assert!(read(bad).is_err(), "{bad}");
+        }
+        // The tree builder keeps the full number language.
+        assert_eq!(Value::parse("1e3").unwrap().as_u64(), Some(1000));
+    }
+
+    #[test]
+    fn string_into_replaces_and_skip_value_validates() {
+        let mut out = String::from("stale");
+        Cursor::new(br#""fresh""#).string_into(&mut out).unwrap();
+        assert_eq!(out, "fresh");
+        for bad in [
+            &b"\"\xff\""[..],
+            b"\"a\\q\"",
+            b"[1,]",
+            b"{\"a\" 1}",
+            b"nul",
+            b"\"\x01\"",
+        ] {
+            assert!(Cursor::new(bad).skip_value().is_err(), "{bad:?}");
+            if let Ok(text) = std::str::from_utf8(bad) {
+                assert!(Value::parse(text).is_err(), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn escaper_matches_a_per_char_reference() {
+        let reference = |s: &str| {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let all_ascii: String = (0u8..0x80).map(char::from).collect();
+        for s in [all_ascii.as_str(), "", "plain", "é😀\u{2028}\"\\\u{7f}"] {
+            let mut out = String::new();
+            write_escaped(&mut out, s).unwrap();
+            assert_eq!(out, reference(s));
+            assert_eq!(Value::parse(&out).unwrap().as_str(), Some(s));
+        }
     }
 }

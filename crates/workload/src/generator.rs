@@ -83,11 +83,20 @@ impl WorkloadConfig {
 
 /// Draw a geometric session length with the given mean, clamped to
 /// `[1, 10·mean]`.
+// The cast is guarded: the length is clamped into [1, 10·mean], and
+// `as` saturates float-to-int (the only conversion Rust offers).
+#[allow(clippy::cast_possible_truncation)]
 fn geometric_len(rng: &mut SplitMix64, mean: f64) -> usize {
     let p = (1.0 / mean.max(1.0)).clamp(1e-6, 1.0);
     let u = rng.next_f64().max(f64::MIN_POSITIVE);
     let len = (u.ln() / (1.0 - p).ln()).ceil();
     (len.max(1.0).min(mean * 10.0)) as usize
+}
+
+/// A uniform index in `0..n` (`n` nonzero).
+fn pick_index(rng: &mut SplitMix64, n: usize) -> usize {
+    // next_bounded(n) < n, so it converts back to usize losslessly.
+    usize::try_from(rng.next_bounded(n as u64)).unwrap_or(0)
 }
 
 /// Zipf-sample `k` distinct ranks from `0..n` (at most `n`).
@@ -104,6 +113,13 @@ fn zipf_subset(rng: &mut SplitMix64, zipf: &Zipf, k: usize) -> Vec<usize> {
     chosen
 }
 
+/// The error for a trace longer than its `u32` query ids can number.
+pub(crate) fn too_many(queries: usize) -> Error {
+    Error::InvalidConfig(format!(
+        "{queries} queries exceed the 2^32 query ids a trace can hold"
+    ))
+}
+
 /// Generate a trace against `catalog` (must contain the SDSS-like schema
 /// from [`byc_catalog::sdss`]), delivering each query to `sink` as it is
 /// produced. Nothing is buffered here, so a sink that writes straight to
@@ -113,9 +129,9 @@ fn zipf_subset(rng: &mut SplitMix64, zipf: &Zipf, k: usize) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// [`Error::InvalidConfig`] for an empty query count; catalog or analysis
-/// errors surface if the catalog lacks the template tables; sink errors
-/// abort generation.
+/// [`Error::InvalidConfig`] for an empty query count or more than 2^32
+/// queries (query ids are `u32`); catalog or analysis errors surface if
+/// the catalog lacks the template tables; sink errors abort generation.
 pub fn generate_with(
     catalog: &Catalog,
     config: &WorkloadConfig,
@@ -123,6 +139,9 @@ pub fn generate_with(
 ) -> Result<()> {
     if config.query_count == 0 {
         return Err(Error::InvalidConfig("query_count must be positive".into()));
+    }
+    if u32::try_from(config.query_count - 1).is_err() {
+        return Err(too_many(config.query_count));
     }
     let mut rng = SplitMix64::new(config.seed);
     let template_dist = Zipf::new(ALL_TEMPLATES.len(), config.template_zipf);
@@ -138,7 +157,8 @@ pub fn generate_with(
         };
         let pool = kind.projection_pool();
         let col_dist = Zipf::new(pool.len(), config.column_zipf);
-        let want = rng.next_range(2, 6) as usize;
+        // 2..=6 columns: the draw `next_range(2, 6)` makes.
+        let want = 2 + pick_index(rng, 5);
         let columns: Vec<&'static str> = zipf_subset(rng, &col_dist, want)
             .into_iter()
             .map(|i| pool[i])
@@ -167,7 +187,7 @@ pub fn generate_with(
 
     while emitted < config.query_count {
         // Each arriving query belongs to one of the concurrent users.
-        let slot = rng.next_bounded(concurrency as u64) as usize;
+        let slot = pick_index(&mut rng, concurrency);
         let (sess, remaining) = &mut sessions[slot];
 
         let built = sess.next_query(&mut rng);
@@ -179,7 +199,7 @@ pub fn generate_with(
 
         let resolved = analyze(catalog, &built.query)?;
         let breakdown = model.estimate(&resolved);
-        let id = QueryId::new(emitted as u32);
+        let id = QueryId::new(u32::try_from(emitted).map_err(|_| too_many(emitted))?);
         sink(TraceQuery {
             id,
             sql: built.query.to_string(),
@@ -202,10 +222,11 @@ pub fn generate_with(
 ///
 /// # Errors
 ///
-/// [`Error::InvalidConfig`] for an empty query count; catalog or analysis
-/// errors surface if the catalog lacks the template tables.
+/// [`Error::InvalidConfig`] for an empty query count or more than 2^32
+/// queries; catalog or analysis errors surface if the catalog lacks the
+/// template tables.
 pub fn generate(catalog: &Catalog, config: &WorkloadConfig) -> Result<Trace> {
-    let mut queries = Vec::with_capacity(config.query_count);
+    let mut queries = Vec::with_capacity(config.query_count.min(1 << 20));
     generate_with(catalog, config, |q| {
         queries.push(q);
         Ok(())
@@ -252,6 +273,29 @@ mod tests {
     fn zero_queries_rejected() {
         let cat = small_catalog();
         assert!(generate(&cat, &WorkloadConfig::smoke(1, 0)).is_err());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn query_counts_beyond_u32_ids_rejected() {
+        let cat = small_catalog();
+        let too_many = (1usize << 32) + 1;
+        let config = WorkloadConfig::smoke(1, too_many);
+        let err =
+            generate_with(&cat, &config, |_| unreachable!("no query is generated")).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        assert!(matches!(
+            generate(&cat, &config),
+            Err(Error::InvalidConfig(_))
+        ));
+        // 2^32 queries still fit: ids 0..=u32::MAX.
+        let config = WorkloadConfig::smoke(1, 1usize << 32);
+        let mut first = None;
+        let _ = generate_with(&cat, &config, |q| {
+            first = Some(q.id);
+            Err(Error::InvalidConfig("stop".into()))
+        });
+        assert_eq!(first, Some(QueryId::new(0)));
     }
 
     #[test]

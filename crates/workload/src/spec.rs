@@ -83,8 +83,9 @@ impl TraceSpec {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] for a non-positive or non-finite scale
-    /// or a zero query-count override.
+    /// [`Error::InvalidConfig`] for a non-positive or non-finite scale,
+    /// or a query-count override of zero or above 2^32 (query ids are
+    /// `u32`).
     pub fn validate(&self) -> Result<()> {
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(Error::InvalidConfig(format!(
@@ -96,6 +97,9 @@ impl TraceSpec {
             return Err(Error::InvalidConfig(
                 "query count must be positive (omit the override for the release preset)".into(),
             ));
+        }
+        if let Some(queries) = self.queries.filter(|&q| u32::try_from(q - 1).is_err()) {
+            return Err(crate::generator::too_many(queries));
         }
         Ok(())
     }
@@ -177,6 +181,17 @@ mod tests {
             .queries(0)
             .validate()
             .is_err());
+        #[cfg(target_pointer_width = "64")]
+        {
+            assert!(TraceSpec::new(SdssRelease::Edr)
+                .queries((1 << 32) + 1)
+                .validate()
+                .is_err());
+            assert!(TraceSpec::new(SdssRelease::Edr)
+                .queries(1 << 32)
+                .validate()
+                .is_ok());
+        }
         assert!(TraceSpec::new(SdssRelease::Edr).validate().is_ok());
     }
 

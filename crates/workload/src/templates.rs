@@ -245,6 +245,9 @@ fn window(domain: (f64, f64), frac: f64, cursor: f64) -> (f64, f64) {
 }
 
 /// Discretized cell keys covered by a range (for containment analysis).
+// The casts are guarded: an in-domain range maps into [0, 4096] cells,
+// and `as` saturates float-to-int (the only conversion Rust offers).
+#[allow(clippy::cast_possible_truncation)]
 fn region_keys(table_tag: u64, domain: (f64, f64), lo: f64, hi: f64) -> Vec<u64> {
     const CELLS: f64 = 4096.0;
     let (min, max) = domain;
