@@ -648,6 +648,7 @@ mod tests {
             capacity: Bytes::new(1_000_000_000),
             report: report("EDR", "GDS", 2_000_000_000, 3_000_000_000),
             warnings: Vec::new(),
+            postmortems: Vec::new(),
         }];
         let path = tmp("sweep.csv");
         write_sweep_csv(&path, &points).unwrap();

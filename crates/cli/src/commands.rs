@@ -5,12 +5,14 @@ use byc_analysis::{
     render_server_table, render_span_table, render_tier_table, render_window_table,
 };
 use byc_catalog::sdss::{self, SdssRelease};
-use byc_catalog::{Granularity, ObjectCatalog};
+use byc_catalog::{Catalog, Granularity, ObjectCatalog};
+use byc_core::static_opt::ObjectDemand;
+use byc_core::{CachePolicy, ShardPlan, ShardedPolicy};
 use byc_federation::{
-    build_policy, build_sharded, CostEvent, DegradationPolicy, FaultModel, FlakyLinks,
-    FlightRecorder, LinkScoped, NetworkModel, Observer, Outage, OutageWindows,
-    PerServerMultipliers, PerServerObserver, PerTierObserver, PolicyKind, QueryWindow,
-    ReplaySession, RetryPolicy, SweepOptions, Topology, Uniform,
+    build_policy, build_sharded, CostEvent, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
+    LinkScoped, NetworkModel, Observer, Outage, OutageWindows, PerServerMultipliers,
+    PerServerObserver, PerTierObserver, PolicyKind, Postmortem, QueryWindow, ReplaySession,
+    RetryPolicy, SweepOptions, Topology, Uniform,
 };
 use byc_telemetry::{
     render_postmortems, window_header, window_record, write_chrome_trace, write_metrics,
@@ -19,10 +21,13 @@ use byc_telemetry::{
 };
 use byc_types::{Error, Result, ServerId, Tick};
 use byc_workload::{
-    generate, io as trace_io, Trace, TraceQuery, TraceSpec, WorkloadConfig, WorkloadStats,
+    generate, io as trace_io, Trace, TraceQuery, TraceReader, TraceSpec, WorkloadConfig,
+    WorkloadStats,
 };
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A parsed `byc` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,97 +47,20 @@ pub enum Command {
     },
     /// Replay a trace under one policy and print the cost report.
     Run {
-        /// Trace file (or "edr"/"dr1" to synthesize on the fly).
-        trace: String,
+        /// What to replay, and over what; shared with `sweep`.
+        replay: ReplayArgs,
         /// Policy name (see [`parse_policy`]).
         policy: String,
-        /// "table" or "column".
-        granularity: String,
         /// Cache size as a fraction of the database.
         cache_fraction: f64,
-        /// Catalog scale.
-        scale: f64,
-        /// Seed for synthesized traces / randomized policies.
-        seed: u64,
-        /// Number of back-end servers (tables spread round-robin).
-        servers: u32,
-        /// Per-server WAN cost multipliers (None = uniform pricing).
-        multipliers: Option<Vec<f64>>,
-        /// Tiered topology spec (None or "flat" = the flat single-tier
-        /// WAN; see `--topology` grammar).
-        topology: Option<String>,
-        /// Scope the fault model to one topology link (None = every
-        /// link on the fetch path).
-        fault_link: Option<u32>,
         /// Stream per-decision NDJSON events here (None = no event log).
         trace_events: Option<PathBuf>,
-        /// Write a metrics export here (None = no export).
-        metrics: Option<PathBuf>,
-        /// Export format for `--metrics`.
-        metrics_format: MetricsFormat,
-        /// Fault-model spec (None = fault-free; see `--faults` grammar).
-        faults: Option<String>,
-        /// Transfer attempts per slice (1 = no retries).
-        retry: u32,
-        /// Seed for stochastic fault models (None = the main `--seed`).
-        fault_seed: Option<u64>,
-        /// Degradation fallback when retries are exhausted ("stale"/"fail").
-        degrade: String,
-        /// Write the replay's deterministic span tree as Chrome
-        /// trace-event JSON here (None = no span trace).
-        trace_spans: Option<PathBuf>,
-        /// Stream a windowed telemetry snapshot every N queries as
-        /// NDJSON on stderr (None = no stream).
-        metrics_every: Option<u64>,
-        /// Ring depth of the fault flight recorder: keep the last K
-        /// cost events per tier and dump postmortems on failed or
-        /// degraded queries (None = off).
-        flight_recorder: Option<usize>,
         /// Shard the policy over N object-id ranges and replay the
         /// shards on parallel workers (None = unsharded).
         shards: Option<usize>,
     },
-    /// Sweep cache sizes for a set of policies.
-    Sweep {
-        /// Trace file or "edr"/"dr1".
-        trace: String,
-        /// "table" or "column".
-        granularity: String,
-        /// Catalog scale.
-        scale: f64,
-        /// Seed.
-        seed: u64,
-        /// Number of back-end servers (tables spread round-robin).
-        servers: u32,
-        /// Per-server WAN cost multipliers (None = uniform pricing).
-        multipliers: Option<Vec<f64>>,
-        /// Tiered topology spec (None or "flat" = the flat single-tier
-        /// WAN; see `--topology` grammar).
-        topology: Option<String>,
-        /// Scope the fault model to one topology link (None = every
-        /// link on the fetch path).
-        fault_link: Option<u32>,
-        /// Write a metrics export covering every sweep point here.
-        metrics: Option<PathBuf>,
-        /// Export format for `--metrics`.
-        metrics_format: MetricsFormat,
-        /// Fault-model spec (None = fault-free; see `--faults` grammar).
-        faults: Option<String>,
-        /// Transfer attempts per slice (1 = no retries).
-        retry: u32,
-        /// Seed for stochastic fault models (None = the main `--seed`).
-        fault_seed: Option<u64>,
-        /// Degradation fallback when retries are exhausted ("stale"/"fail").
-        degrade: String,
-        /// Write every sweep job's span tree into one Chrome trace-event
-        /// file, one thread lane per job (None = no span trace).
-        trace_spans: Option<PathBuf>,
-        /// Stream each job's windowed telemetry snapshots as NDJSON on
-        /// stderr, in job order (None = no stream).
-        metrics_every: Option<u64>,
-        /// Ring depth of the per-job fault flight recorder (None = off).
-        flight_recorder: Option<usize>,
-    },
+    /// Sweep cache sizes for every policy in the roster.
+    Sweep(ReplayArgs),
     /// Workload analyses: containment and schema locality.
     Analyze {
         /// Trace file or "edr"/"dr1".
@@ -144,6 +72,64 @@ pub enum Command {
     },
     /// Print usage.
     Help,
+}
+
+/// The arguments `run` and `sweep` share: the trace, the catalog,
+/// network, topology and fault model it replays over, and the
+/// deterministic streams to write.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ReplayArgs {
+    /// Trace file (or "edr"/"dr1" to synthesize on the fly).
+    pub trace: String,
+    /// "table" or "column".
+    pub granularity: String,
+    /// Catalog scale: finite and positive.
+    pub scale: f64,
+    /// Seed for synthesized traces / randomized policies.
+    pub seed: u64,
+    /// Number of back-end servers (tables spread round-robin).
+    pub servers: u32,
+    /// Per-server WAN cost multipliers (None = uniform pricing).
+    pub multipliers: Option<Vec<f64>>,
+    /// Tiered topology spec (None or "flat" = the flat single-tier
+    /// WAN; see `--topology` grammar).
+    pub topology: Option<String>,
+    /// Scope the fault model to one topology link (None = every
+    /// link on the fetch path).
+    pub fault_link: Option<u32>,
+    /// Write a metrics export here; a sweep's covers every point
+    /// (None = no export).
+    pub metrics: Option<PathBuf>,
+    /// Export format for `--metrics`.
+    pub metrics_format: MetricsFormat,
+    /// Fault-model spec (None = fault-free; see `--faults` grammar).
+    pub faults: Option<String>,
+    /// Transfer attempts per slice (1 = no retries; 0 is rejected).
+    pub retry: u32,
+    /// Seed for stochastic fault models (None = the main `--seed`).
+    pub fault_seed: Option<u64>,
+    /// Degradation fallback when retries are exhausted ("stale"/"fail").
+    pub degrade: String,
+    /// Write the replay's deterministic span tree as Chrome
+    /// trace-event JSON here; a sweep gives every job its own thread
+    /// lane in the one file (None = no span trace).
+    pub trace_spans: Option<PathBuf>,
+    /// Stream a windowed telemetry snapshot every N queries as NDJSON
+    /// on stderr; a sweep streams each job's in job order (None = no
+    /// stream).
+    pub metrics_every: Option<usize>,
+    /// Ring depth of the fault flight recorder: keep the last K cost
+    /// events per tier and dump postmortems on failed or degraded
+    /// queries (None = off).
+    pub flight_recorder: Option<usize>,
+}
+
+impl ReplayArgs {
+    /// Whether any per-replay telemetry stream (`--metrics`,
+    /// `--trace-spans`, `--metrics-every`) is on.
+    fn observed(&self) -> bool {
+        self.metrics.is_some() || self.trace_spans.is_some() || self.metrics_every.is_some()
+    }
 }
 
 /// Parse a policy name.
@@ -194,9 +180,9 @@ fn build_network(multipliers: &Option<Vec<f64>>) -> Result<Box<dyn NetworkModel 
     })
 }
 
-/// Parse a `--topology` spec into a [`Topology`]. Grammar:
+/// Parse a `--topology` spec into a tiered [`Topology`]. Grammar:
 ///
-/// * `flat` — no topology: the exact flat single-tier path;
+/// * `flat` — no tiers (`None`): the single-tier WAN;
 /// * `two-tier[:M]` — a site cache under a regional cache, the inner
 ///   link priced at `M` times the raw bytes (default 0.25);
 /// * `three-tier[:M1,M2]` — site under regional under national, inner
@@ -236,11 +222,7 @@ fn parse_topology(spec: &str, multipliers: &Option<Vec<f64>>) -> Result<Option<T
         "three-tier" => {
             let (site, regional) = match params {
                 Some(p) => {
-                    let pair = || {
-                        let (a, b) = p.split_once(',')?;
-                        Some((a, b))
-                    };
-                    let (a, b) = pair().ok_or_else(|| {
+                    let (a, b) = p.split_once(',').ok_or_else(|| {
                         Error::InvalidConfig(format!(
                             "three-tier takes two link multipliers (three-tier:M1,M2), got {spec:?}"
                         ))
@@ -291,13 +273,23 @@ fn parse_degradation(name: &str) -> Result<DegradationPolicy> {
     }
 }
 
+/// A `--faults` probability: a number within [0, 1] (NaN is not).
+fn probability(v: &str) -> Option<f64> {
+    v.trim()
+        .parse::<f64>()
+        .ok()
+        .filter(|p| (0.0..=1.0).contains(p))
+}
+
 /// Parse a `--faults` spec into a fault model. Grammar:
 ///
 /// * `none` — no fault layer (the exact fault-free path);
 /// * `outage:SERVER@START..END[,SERVER@START..END...]` — scheduled
-///   per-server downtime in query-index time (half-open windows);
+///   per-server downtime in query-index time (half-open windows,
+///   `START < END`);
 /// * `flaky:p=0.01[,spike=0.05x4]` — seeded per-attempt failure
-///   probability, optionally with a cost-spike probability and multiplier.
+///   probability, optionally with a cost-spike probability and a
+///   multiplier of at least 1. Probabilities lie within [0, 1].
 fn parse_faults(spec: &str, seed: u64) -> Result<Option<Box<dyn FaultModel>>> {
     if spec.eq_ignore_ascii_case("none") {
         return Ok(None);
@@ -308,15 +300,16 @@ fn parse_faults(spec: &str, seed: u64) -> Result<Option<Box<dyn FaultModel>>> {
             let window = || {
                 let (server, range) = part.split_once('@')?;
                 let (from, until) = range.split_once("..")?;
-                Some(Outage {
+                let outage = Outage {
                     server: ServerId::new(server.trim().parse().ok()?),
                     from: Tick::new(from.trim().parse().ok()?),
                     until: Tick::new(until.trim().parse().ok()?),
-                })
+                };
+                (outage.from < outage.until).then_some(outage)
             };
             windows.push(window().ok_or_else(|| {
                 Error::InvalidConfig(format!(
-                    "bad outage window {part:?} (expected SERVER@START..END)"
+                    "bad outage window {part:?} (expected SERVER@START..END with START < END)"
                 ))
             })?);
         }
@@ -329,17 +322,24 @@ fn parse_faults(spec: &str, seed: u64) -> Result<Option<Box<dyn FaultModel>>> {
         for part in body.split(',') {
             let part = part.trim();
             if let Some(v) = part.strip_prefix("p=") {
-                failure_p = Some(v.parse().map_err(|_| {
-                    Error::InvalidConfig(format!("bad flaky failure probability {v:?}"))
+                failure_p = Some(probability(v).ok_or_else(|| {
+                    Error::InvalidConfig(format!(
+                        "bad flaky failure probability {v:?} (expected a number in [0, 1])"
+                    ))
                 })?);
             } else if let Some(v) = part.strip_prefix("spike=") {
                 let spike = || {
                     let (p, m) = v.split_once('x')?;
-                    Some((p.parse::<f64>().ok()?, m.parse::<f64>().ok()?))
+                    let m = m
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|m| m.is_finite() && *m >= 1.0)?;
+                    Some((probability(p)?, m))
                 };
                 (spike_p, spike_multiplier) = spike().ok_or_else(|| {
                     Error::InvalidConfig(format!(
-                        "bad spike spec {v:?} (expected PROBxMULTIPLIER, e.g. 0.05x4)"
+                        "bad spike spec {v:?} (expected PROBxMULTIPLIER, PROB in [0, 1] and \
+                         MULTIPLIER at least 1, e.g. 0.05x4)"
                     ))
                 })?;
             } else {
@@ -394,12 +394,7 @@ fn header_release(spec: &str, header_name: &str) -> Result<SdssRelease> {
 /// bypass decision. The caller's `--scale` must therefore match the scale
 /// the trace was generated at; we sanity-check by comparing the trace's
 /// mean yield to the catalog size and refuse wildly inconsistent pairs.
-fn load_trace(
-    spec: &str,
-    scale: f64,
-    seed: u64,
-    servers: u32,
-) -> Result<(byc_catalog::Catalog, Trace)> {
+fn load_trace(spec: &str, scale: f64, seed: u64, servers: u32) -> Result<(Catalog, Trace)> {
     match parse_release(spec) {
         Ok(release) => {
             let catalog = sdss::build(release, scale, servers);
@@ -413,7 +408,7 @@ fn load_trace(
         Err(_) => {
             // Treat as a file path, priced by the catalog of the release
             // its header names, at the caller's scale.
-            let trace = trace_io::read_trace(std::path::Path::new(spec))?;
+            let trace = trace_io::read_trace(Path::new(spec))?;
             let catalog = sdss::build(header_release(spec, &trace.name)?, scale, servers);
             check_scale(spec, trace.sequence_cost(), trace.len(), &catalog)?;
             Ok((catalog, trace))
@@ -428,7 +423,7 @@ fn check_scale(
     spec: &str,
     demand: byc_types::Bytes,
     queries: usize,
-    catalog: &byc_catalog::Catalog,
+    catalog: &Catalog,
 ) -> Result<()> {
     if queries == 0 {
         return Ok(());
@@ -441,35 +436,33 @@ fn check_scale(
     let ratio = mean_yield / db;
     if !(1e-7..=1e-2).contains(&ratio) {
         return Err(Error::InvalidConfig(format!(
-            "trace {spec:?} looks generated at a different catalog scale                          (mean yield {:.3e} bytes vs database {:.3e} bytes);                          pass the --scale used at gen-trace time",
+            "trace {spec:?} looks generated at a different catalog scale \
+             (mean yield {:.3e} bytes vs database {:.3e} bytes); \
+             pass the --scale used at gen-trace time",
             mean_yield, db
         )));
     }
     Ok(())
 }
-
 /// Usage text.
 pub const USAGE: &str = "\
 byc — bypass-yield caching for scientific database federations
 
 USAGE:
   byc gen-trace <edr|dr1> --out FILE [--seed N] [--scale S] [--queries N]
-  byc run <edr|dr1|trace.jsonl> --policy NAME [--granularity table|column]
-          [--cache-fraction F] [--scale S] [--seed N]
-          [--servers N] [--cost-multipliers A,B,...]
-          [--topology flat|two-tier[:M]|three-tier[:M1,M2]] [--fault-link N]
-          [--trace-events FILE] [--metrics FILE] [--metrics-format prom|json]
-          [--trace-spans FILE] [--metrics-every N] [--flight-recorder K]
-          [--faults SPEC] [--retry N] [--fault-seed N] [--degrade stale|fail]
-          [--shards N]
-  byc sweep <edr|dr1|trace.jsonl> [--granularity table|column] [--scale S] [--seed N]
+  byc run <edr|dr1|trace.jsonl> --policy NAME [--cache-fraction F]
+          [--trace-events FILE] [--shards N] [REPLAY FLAGS]
+  byc sweep <edr|dr1|trace.jsonl> [REPLAY FLAGS]
+  byc analyze <edr|dr1|trace.jsonl> [--scale S] [--seed N]
+  byc help
+
+REPLAY FLAGS (run and sweep):
+          [--granularity table|column] [--scale S] [--seed N]
           [--servers N] [--cost-multipliers A,B,...]
           [--topology flat|two-tier[:M]|three-tier[:M1,M2]] [--fault-link N]
           [--metrics FILE] [--metrics-format prom|json]
           [--trace-spans FILE] [--metrics-every N] [--flight-recorder K]
           [--faults SPEC] [--retry N] [--fault-seed N] [--degrade stale|fail]
-  byc analyze <edr|dr1|trace.jsonl> [--scale S] [--seed N]
-  byc help
 
 POLICIES: rate-profile onlineby onlineby-marking spaceeffby gds gdsp lru
           lfu lru-k lff gdstar static nocache
@@ -533,7 +526,9 @@ FAULTS:   --faults injects deterministic WAN faults:
                                       time, comma-separated windows
             flaky:p=0.01,spike=0.05x4 seeded per-attempt failure
                                       probability + cost-spike prob x mult
-          --retry N allows up to N attempts per transfer (exponential
+          Probabilities lie in [0, 1], a spike multiplier is at least 1,
+          and an outage window needs START < END.
+          --retry N allows up to N >= 1 attempts per transfer (exponential
           backoff in query-index time; retries are charged to the WAN);
           --fault-seed seeds stochastic models (defaults to --seed);
           --degrade picks the fallback when retries are exhausted: serve
@@ -550,10 +545,137 @@ REPLAY:   every replay compiles the trace in chunks (catalog resolution
           policy instance per range on its own worker thread, and merges
           the per-shard reports deterministically. Each shard caches in
           its own share of the cache, so a sharded answer is NOT
-          comparable with an unsharded one. Sharded replays keep the
-          cost report and audit but not the whole-stream telemetry
-          (--trace-events/--metrics/--trace-spans/--metrics-every/
-          --flight-recorder).";
+          comparable with an unsharded one. N is at most the number of
+          cache objects: a shard beyond that would own none. Sharded
+          replays keep the cost report and audit but not the
+          whole-stream telemetry (--trace-events/--metrics/--trace-spans/
+          --metrics-every/--flight-recorder).
+
+NUMBERS:  --scale is positive and finite; --retry, --metrics-every,
+          --flight-recorder and --shards are positive; every integer
+          must fit its field (--servers and --fault-link in 32 bits).
+          A value out of range is an error, never truncated.";
+
+/// Flags `run` and `sweep` share: they fill [`ReplayArgs`].
+const REPLAY_FLAGS: &[&str] = &[
+    "granularity",
+    "scale",
+    "seed",
+    "servers",
+    "cost-multipliers",
+    "topology",
+    "fault-link",
+    "metrics",
+    "metrics-format",
+    "faults",
+    "retry",
+    "fault-seed",
+    "degrade",
+    "trace-spans",
+    "metrics-every",
+    "flight-recorder",
+];
+
+/// Flags only `run` takes.
+const RUN_FLAGS: &[&str] = &["policy", "cache-fraction", "trace-events", "shards"];
+
+/// The `--name value` pairs of one invocation, read through typed
+/// getters that reject a malformed or out-of-range value instead of
+/// casting it.
+struct Flags(HashMap<String, String>);
+
+impl Flags {
+    fn text(&self, name: &str) -> Option<String> {
+        self.0.get(name).cloned()
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.0.get(name).map(PathBuf::from)
+    }
+
+    fn number(&self, name: &str, default: f64) -> Result<f64> {
+        match self.0.get(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| Error::InvalidConfig(format!("--{name} expects a number, got {v:?}"))),
+        }
+    }
+
+    /// An integer flag converted to its field's type with `try_from`:
+    /// a value that does not fit is an error, never a truncation.
+    fn int<T: TryFrom<u64>>(&self, name: &str) -> Result<Option<T>> {
+        let Some(v) = self.0.get(name) else {
+            return Ok(None);
+        };
+        let n: u64 = v
+            .parse()
+            .map_err(|_| Error::InvalidConfig(format!("--{name} expects an integer, got {v:?}")))?;
+        T::try_from(n)
+            .map(Some)
+            .map_err(|_| Error::InvalidConfig(format!("--{name} {n} is out of range")))
+    }
+
+    /// `--scale`: the catalog scale every row count is multiplied by.
+    fn positive_scale(&self) -> Result<f64> {
+        let scale = self.number("scale", 1.0)?;
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(Error::InvalidConfig(format!(
+                "--scale must be a positive finite number, got {scale}"
+            )));
+        }
+        Ok(scale)
+    }
+
+    /// The [`ReplayArgs`] half of a `run` or `sweep` invocation.
+    fn replay_args(&self, trace: String) -> Result<ReplayArgs> {
+        let multipliers = match self.0.get("cost-multipliers") {
+            None => None,
+            Some(v) => Some(
+                v.split(',')
+                    .map(|part| part.trim().parse::<f64>().ok())
+                    .collect::<Option<Vec<f64>>>()
+                    .ok_or_else(|| {
+                        Error::InvalidConfig(format!(
+                            "--cost-multipliers expects comma-separated numbers, got {v:?}"
+                        ))
+                    })?,
+            ),
+        };
+        // --cost-multipliers implies one server per multiplier.
+        let servers = match self.int("servers")? {
+            Some(n) => n,
+            None => multipliers
+                .as_ref()
+                .map_or(1, |m| u32::try_from(m.len()).unwrap_or(u32::MAX)),
+        };
+        let metrics_format = match self.0.get("metrics-format") {
+            None => MetricsFormat::Prometheus,
+            Some(v) => MetricsFormat::parse(v).ok_or_else(|| {
+                Error::InvalidConfig(format!("--metrics-format expects prom or json, got {v:?}"))
+            })?,
+        };
+        Ok(ReplayArgs {
+            trace,
+            granularity: self.text("granularity").unwrap_or_else(|| "column".into()),
+            scale: self.positive_scale()?,
+            seed: self.int("seed")?.unwrap_or(42),
+            servers,
+            multipliers,
+            topology: self.text("topology"),
+            fault_link: self.int("fault-link")?,
+            metrics: self.path("metrics"),
+            metrics_format,
+            faults: self.text("faults"),
+            retry: self.int("retry")?.unwrap_or(1),
+            fault_seed: self.int("fault-seed")?,
+            degrade: self.text("degrade").unwrap_or_else(|| "stale".into()),
+            trace_spans: self.path("trace-spans"),
+            metrics_every: self.int("metrics-every")?,
+            flight_recorder: self.int("flight-recorder")?,
+        })
+    }
+}
 
 /// Parse raw argument strings into a [`Command`].
 ///
@@ -566,53 +688,15 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
         None => return Ok(Command::Help),
         Some(s) => s.as_str(),
     };
-    let known: &[&str] = match sub {
-        "gen-trace" => &["out", "seed", "scale", "queries"],
-        "run" => &[
-            "policy",
-            "granularity",
-            "cache-fraction",
-            "scale",
-            "seed",
-            "servers",
-            "cost-multipliers",
-            "topology",
-            "fault-link",
-            "trace-events",
-            "metrics",
-            "metrics-format",
-            "faults",
-            "retry",
-            "fault-seed",
-            "degrade",
-            "trace-spans",
-            "metrics-every",
-            "flight-recorder",
-            "shards",
-        ],
-        "sweep" => &[
-            "granularity",
-            "scale",
-            "seed",
-            "servers",
-            "cost-multipliers",
-            "topology",
-            "fault-link",
-            "metrics",
-            "metrics-format",
-            "faults",
-            "retry",
-            "fault-seed",
-            "degrade",
-            "trace-spans",
-            "metrics-every",
-            "flight-recorder",
-        ],
-        "analyze" => &["granularity", "scale", "seed"],
-        _ => &[],
+    let known: Vec<&str> = match sub {
+        "gen-trace" => vec!["out", "seed", "scale", "queries"],
+        "run" => [RUN_FLAGS, REPLAY_FLAGS].concat(),
+        "sweep" => REPLAY_FLAGS.to_vec(),
+        "analyze" => vec!["scale", "seed"],
+        _ => Vec::new(),
     };
     let mut positional: Vec<String> = Vec::new();
-    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
+    let mut flags = Flags(HashMap::new());
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             if !known.contains(&name) {
@@ -628,55 +712,12 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             let value = it
                 .next()
                 .ok_or_else(|| Error::InvalidConfig(format!("--{name} needs a value")))?;
-            flags.insert(name.to_string(), value.clone());
+            flags.0.insert(name.to_string(), value.clone());
         } else {
             positional.push(a.clone());
         }
     }
-    let flag_f64 =
-        |flags: &std::collections::HashMap<String, String>, k: &str, default: f64| -> Result<f64> {
-            match flags.get(k) {
-                None => Ok(default),
-                Some(v) => v.parse().map_err(|_| {
-                    Error::InvalidConfig(format!("--{k} expects a number, got {v:?}"))
-                }),
-            }
-        };
-    let flag_u64 =
-        |flags: &std::collections::HashMap<String, String>, k: &str, default: u64| -> Result<u64> {
-            match flags.get(k) {
-                None => Ok(default),
-                Some(v) => v.parse().map_err(|_| {
-                    Error::InvalidConfig(format!("--{k} expects an integer, got {v:?}"))
-                }),
-            }
-        };
-    let flag_multipliers =
-        |flags: &std::collections::HashMap<String, String>| -> Result<Option<Vec<f64>>> {
-            match flags.get("cost-multipliers") {
-                None => Ok(None),
-                Some(v) => v
-                    .split(',')
-                    .map(|part| {
-                        part.trim().parse::<f64>().map_err(|_| {
-                            Error::InvalidConfig(format!(
-                                "--cost-multipliers expects comma-separated numbers, got {v:?}"
-                            ))
-                        })
-                    })
-                    .collect::<Result<Vec<f64>>>()
-                    .map(Some),
-            }
-        };
-    let flag_format = |flags: &std::collections::HashMap<String, String>| -> Result<MetricsFormat> {
-        match flags.get("metrics-format") {
-            None => Ok(MetricsFormat::Prometheus),
-            Some(v) => MetricsFormat::parse(v).ok_or_else(|| {
-                Error::InvalidConfig(format!("--metrics-format expects prom or json, got {v:?}"))
-            }),
-        }
-    };
-    let first = |positional: &[String]| -> Result<String> {
+    let first = || -> Result<String> {
         positional
             .first()
             .cloned()
@@ -686,113 +727,28 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
     match sub {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "gen-trace" => Ok(Command::GenTrace {
-            release: first(&positional)?,
-            out: PathBuf::from(
-                flags
-                    .get("out")
-                    .cloned()
-                    .ok_or_else(|| Error::InvalidConfig("gen-trace requires --out FILE".into()))?,
-            ),
-            seed: flag_u64(&flags, "seed", 42)?,
-            scale: flag_f64(&flags, "scale", 1.0)?,
-            queries: flag_u64(&flags, "queries", 0)? as usize,
+            release: first()?,
+            out: flags
+                .path("out")
+                .ok_or_else(|| Error::InvalidConfig("gen-trace requires --out FILE".into()))?,
+            seed: flags.int("seed")?.unwrap_or(42),
+            scale: flags.positive_scale()?,
+            queries: flags.int("queries")?.unwrap_or(0),
         }),
-        "run" => {
-            let multipliers = flag_multipliers(&flags)?;
-            let default_servers = multipliers.as_ref().map_or(1, |m| m.len() as u64);
-            Ok(Command::Run {
-                trace: first(&positional)?,
-                policy: flags
-                    .get("policy")
-                    .cloned()
-                    .ok_or_else(|| Error::InvalidConfig("run requires --policy NAME".into()))?,
-                granularity: flags
-                    .get("granularity")
-                    .cloned()
-                    .unwrap_or_else(|| "column".into()),
-                cache_fraction: flag_f64(&flags, "cache-fraction", 0.15)?,
-                scale: flag_f64(&flags, "scale", 1.0)?,
-                seed: flag_u64(&flags, "seed", 42)?,
-                servers: flag_u64(&flags, "servers", default_servers)? as u32,
-                multipliers,
-                topology: flags.get("topology").cloned(),
-                fault_link: flags
-                    .get("fault-link")
-                    .map(|_| flag_u64(&flags, "fault-link", 0).map(|v| v as u32))
-                    .transpose()?,
-                trace_events: flags.get("trace-events").map(PathBuf::from),
-                metrics: flags.get("metrics").map(PathBuf::from),
-                metrics_format: flag_format(&flags)?,
-                faults: flags.get("faults").cloned(),
-                retry: flag_u64(&flags, "retry", 1)? as u32,
-                fault_seed: flags
-                    .get("fault-seed")
-                    .map(|_| flag_u64(&flags, "fault-seed", 0))
-                    .transpose()?,
-                degrade: flags
-                    .get("degrade")
-                    .cloned()
-                    .unwrap_or_else(|| "stale".into()),
-                trace_spans: flags.get("trace-spans").map(PathBuf::from),
-                metrics_every: flags
-                    .get("metrics-every")
-                    .map(|_| flag_u64(&flags, "metrics-every", 0))
-                    .transpose()?,
-                flight_recorder: flags
-                    .get("flight-recorder")
-                    .map(|_| flag_u64(&flags, "flight-recorder", 0).map(|v| v as usize))
-                    .transpose()?,
-                shards: flags
-                    .get("shards")
-                    .map(|_| flag_u64(&flags, "shards", 0).map(|v| v as usize))
-                    .transpose()?,
-            })
-        }
-        "sweep" => {
-            let multipliers = flag_multipliers(&flags)?;
-            let default_servers = multipliers.as_ref().map_or(1, |m| m.len() as u64);
-            Ok(Command::Sweep {
-                trace: first(&positional)?,
-                granularity: flags
-                    .get("granularity")
-                    .cloned()
-                    .unwrap_or_else(|| "column".into()),
-                scale: flag_f64(&flags, "scale", 1.0)?,
-                seed: flag_u64(&flags, "seed", 42)?,
-                servers: flag_u64(&flags, "servers", default_servers)? as u32,
-                multipliers,
-                topology: flags.get("topology").cloned(),
-                fault_link: flags
-                    .get("fault-link")
-                    .map(|_| flag_u64(&flags, "fault-link", 0).map(|v| v as u32))
-                    .transpose()?,
-                metrics: flags.get("metrics").map(PathBuf::from),
-                metrics_format: flag_format(&flags)?,
-                faults: flags.get("faults").cloned(),
-                retry: flag_u64(&flags, "retry", 1)? as u32,
-                fault_seed: flags
-                    .get("fault-seed")
-                    .map(|_| flag_u64(&flags, "fault-seed", 0))
-                    .transpose()?,
-                degrade: flags
-                    .get("degrade")
-                    .cloned()
-                    .unwrap_or_else(|| "stale".into()),
-                trace_spans: flags.get("trace-spans").map(PathBuf::from),
-                metrics_every: flags
-                    .get("metrics-every")
-                    .map(|_| flag_u64(&flags, "metrics-every", 0))
-                    .transpose()?,
-                flight_recorder: flags
-                    .get("flight-recorder")
-                    .map(|_| flag_u64(&flags, "flight-recorder", 0).map(|v| v as usize))
-                    .transpose()?,
-            })
-        }
+        "run" => Ok(Command::Run {
+            replay: flags.replay_args(first()?)?,
+            policy: flags
+                .text("policy")
+                .ok_or_else(|| Error::InvalidConfig("run requires --policy NAME".into()))?,
+            cache_fraction: flags.number("cache-fraction", 0.15)?,
+            trace_events: flags.path("trace-events"),
+            shards: flags.int("shards")?,
+        }),
+        "sweep" => Ok(Command::Sweep(flags.replay_args(first()?)?)),
         "analyze" => Ok(Command::Analyze {
-            trace: first(&positional)?,
-            scale: flag_f64(&flags, "scale", 1.0)?,
-            seed: flag_u64(&flags, "seed", 42)?,
+            trace: first()?,
+            scale: flags.positive_scale()?,
+            seed: flags.int("seed")?.unwrap_or(42),
         }),
         other => Err(Error::InvalidConfig(format!(
             "unknown subcommand {other:?}; try `byc help`"
@@ -800,39 +756,202 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
     }
 }
 
-/// Both `--metrics-every` and `--flight-recorder` are counts of queries
-/// or events; zero would mean "window after no queries" / "remember no
-/// events", so reject it at the door instead of silently clamping.
-fn require_positive(value: Option<u64>, flag: &str) -> Result<()> {
-    if value == Some(0) {
+/// Counts such as `--retry` and `--metrics-every` are numbers of
+/// attempts, queries or events; zero would mean "try never" / "window
+/// after no queries", so reject it at the door instead of silently
+/// clamping.
+fn require_positive<T: PartialEq + From<u8>>(value: Option<T>, flag: &str) -> Result<()> {
+    if value == Some(T::from(0)) {
         return Err(Error::InvalidConfig(format!("--{flag} must be positive")));
     }
     Ok(())
 }
 
-/// Per-job observer bundle for sweeps: each observability flag
-/// contributes one optional component, all riding the same replay.
-/// [`SweepOptions::observe`] takes a single observer type per sweep,
-/// so the bundle multiplexes the hooks.
-struct SweepObserver {
+/// What a replay reads: a resident trace, or a trace file streaming
+/// chunk by chunk.
+enum Source {
+    Resident(Trace),
+    Streamed(TraceReader),
+}
+
+impl Source {
+    fn name(&self) -> &str {
+        match self {
+            Source::Resident(trace) => &trace.name,
+            Source::Streamed(reader) => reader.name(),
+        }
+    }
+}
+
+/// Everything `run` and `sweep` replay over, built once from
+/// [`ReplayArgs`].
+struct ReplaySetup {
+    catalog: Catalog,
+    objects: ObjectCatalog,
+    /// Per-object demands of a resident trace; a streamed file has
+    /// none, which only Static (offline planning) consults.
+    demands: Vec<ObjectDemand>,
+    /// The named tiered shape, or [`Topology::flat`] over the WAN
+    /// pricing model: every replay runs on a topology.
+    topology: Topology,
+    /// Whether `--topology` named a tiered shape. Titles, label
+    /// suffixes, the per-tier table and span tier detail key on it.
+    tiered: bool,
+    /// The WAN pricing model's name.
+    pricing: String,
+    faults: Option<Box<dyn FaultModel>>,
+    retry: RetryPolicy,
+    degradation: DegradationPolicy,
+    flight_recorder: Option<usize>,
+}
+
+impl ReplaySetup {
+    /// Check the shared arguments and build the replay's inputs. A
+    /// trace file streams when `stream` is set and loads whole
+    /// otherwise; a release name always synthesizes a resident trace.
+    /// `pipeline`, when present, gets the trace load and the build as
+    /// spans, closing the open "parse trace" span.
+    fn new(
+        args: &ReplayArgs,
+        stream: bool,
+        pipeline: Option<&mut SpanTracer>,
+    ) -> Result<(ReplaySetup, Source)> {
+        require_positive(Some(args.retry), "retry")?;
+        require_positive(args.metrics_every, "metrics-every")?;
+        require_positive(args.flight_recorder, "flight-recorder")?;
+        let granularity = parse_granularity(&args.granularity)?;
+        let degradation = parse_degradation(&args.degrade)?;
+        let faults = match &args.faults {
+            Some(spec) => parse_faults(spec, args.fault_seed.unwrap_or(args.seed))?,
+            None => None,
+        };
+        let faults = scope_faults(faults, args.fault_link)?;
+        let tiers = match &args.topology {
+            Some(spec) => parse_topology(spec, &args.multipliers)?,
+            None => None,
+        };
+        let network = build_network(&args.multipliers)?;
+        let pricing = network.name().to_string();
+        let tiered = tiers.is_some();
+        let topology = tiers.unwrap_or_else(|| Topology::flat(network));
+        let servers = args.servers.max(1);
+        let (catalog, source) = if stream && parse_release(&args.trace).is_err() {
+            let reader = TraceReader::open(Path::new(&args.trace))?;
+            let release = header_release(&args.trace, reader.name())?;
+            let catalog = sdss::build(release, args.scale, servers);
+            (catalog, Source::Streamed(reader))
+        } else {
+            let (catalog, trace) = load_trace(&args.trace, args.scale, args.seed, servers)?;
+            (catalog, Source::Resident(trace))
+        };
+        let objects = ObjectCatalog::uniform(&catalog, granularity);
+        let (queries, demands) = match &source {
+            Source::Resident(trace) => {
+                (trace.len(), WorkloadStats::compute(trace, &objects).demands)
+            }
+            Source::Streamed(reader) => (reader.query_count(), Vec::new()),
+        };
+        if let Some(t) = pipeline {
+            t.arg("queries", queries as u64);
+            t.end();
+            t.begin("build", "pipeline");
+            t.arg("objects", demands.len() as u64);
+            t.end();
+        }
+        let setup = ReplaySetup {
+            catalog,
+            objects,
+            demands,
+            topology,
+            tiered,
+            pricing,
+            faults,
+            retry: RetryPolicy::new(args.retry, RETRY_BACKOFF_BASE),
+            degradation,
+            flight_recorder: args.flight_recorder,
+        };
+        Ok((setup, source))
+    }
+
+    /// A session over `source` on this setup's topology, fault layer
+    /// and flight recorder; the caller adds policies and observers.
+    fn session<'a>(&'a self, source: &'a mut Source) -> ReplaySession<'a> {
+        let mut session = match source {
+            Source::Resident(trace) => ReplaySession::new(trace, &self.objects),
+            Source::Streamed(reader) => ReplaySession::from_reader(reader, &self.objects),
+        };
+        session = session
+            .topology(&self.topology)
+            .retry(self.retry)
+            .degrade(self.degradation);
+        if let Some(model) = self.faults.as_deref() {
+            session = session.faults(model);
+        }
+        if let Some(depth) = self.flight_recorder {
+            session = session.flight_recorder(depth);
+        }
+        session
+    }
+
+    /// The ", NAME topology" title note of a tiered replay.
+    fn topology_note(&self) -> String {
+        if self.tiered {
+            format!(", {} topology", self.topology.name())
+        } else {
+            String::new()
+        }
+    }
+}
+
+/// The rendered flight-recorder postmortems of one replay. Postmortems
+/// beyond the recorder's cap were counted but not stored; the dump says
+/// how many it is missing.
+fn postmortem_dump(report: &CostReport, postmortems: &[Postmortem]) -> String {
+    let truncated =
+        (report.failed_queries + report.degraded_queries).saturating_sub(postmortems.len() as u64);
+    render_postmortems(postmortems, truncated)
+}
+
+/// The telemetry streams [`ReplayArgs`] asks for, bundled as one
+/// observer: each flag contributes one optional component, all riding
+/// the same replay. `run` rides one bundle on its replay and `sweep`
+/// one per job ([`SweepOptions::observe`] takes a single observer
+/// type per sweep, so the bundle multiplexes the hooks).
+struct Streams {
     telemetry: Option<TelemetryObserver>,
     spans: Option<SpanObserver>,
     windows: Option<WindowedRegistry>,
-    recorder: Option<FlightRecorder>,
 }
 
-impl SweepObserver {
+impl Streams {
+    /// The streams `args` asks for, labelled `label`, with spans on
+    /// thread lane `tid`.
+    fn new(args: &ReplayArgs, label: &str, tid: u32) -> Streams {
+        Streams {
+            telemetry: args
+                .metrics
+                .is_some()
+                .then(|| TelemetryObserver::new(label)),
+            spans: args
+                .trace_spans
+                .is_some()
+                .then(|| SpanObserver::new(label).with_tid(tid)),
+            windows: args
+                .metrics_every
+                .map(|every| WindowedRegistry::new(label, every)),
+        }
+    }
+
     fn parts(&mut self) -> impl Iterator<Item = &mut dyn Observer> {
         self.telemetry
             .iter_mut()
             .map(|o| o as &mut dyn Observer)
             .chain(self.spans.iter_mut().map(|o| o as &mut dyn Observer))
             .chain(self.windows.iter_mut().map(|o| o as &mut dyn Observer))
-            .chain(self.recorder.iter_mut().map(|o| o as &mut dyn Observer))
     }
 }
 
-impl Observer for SweepObserver {
+impl Observer for Streams {
     fn on_query_start(&mut self, index: usize, query: &TraceQuery) {
         for obs in self.parts() {
             obs.on_query_start(index, query);
@@ -851,7 +970,7 @@ impl Observer for SweepObserver {
         }
     }
 
-    fn finish(&mut self, policy: Option<&dyn byc_core::policy::CachePolicy>) {
+    fn finish(&mut self, policy: Option<&dyn CachePolicy>) {
         for obs in self.parts() {
             obs.finish(policy);
         }
@@ -863,7 +982,6 @@ impl Observer for SweepObserver {
             .is_some_and(Observer::wants_accesses)
             || self.spans.as_ref().is_some_and(Observer::wants_accesses)
             || self.windows.as_ref().is_some_and(Observer::wants_accesses)
-            || self.recorder.as_ref().is_some_and(Observer::wants_accesses)
     }
 
     fn warnings(&mut self) -> Vec<String> {
@@ -872,25 +990,6 @@ impl Observer for SweepObserver {
             out.extend(obs.warnings());
         }
         out
-    }
-}
-
-/// The fault-context line stamped into flight-recorder postmortems:
-/// mirrors the one [`ReplaySession`] builds for `run` so postmortems
-/// read the same whichever path attached the recorder.
-fn fault_context(
-    model: Option<&dyn FaultModel>,
-    retry: u32,
-    degradation: DegradationPolicy,
-) -> String {
-    match model {
-        Some(m) => format!(
-            "{}; retry up to {}; on exhaustion {}",
-            m.describe(),
-            retry,
-            degradation.label()
-        ),
-        None => "no fault layer".to_string(),
     }
 }
 
@@ -927,26 +1026,10 @@ pub fn run_command(command: Command) -> Result<String> {
             ))
         }
         Command::Run {
-            trace,
+            replay: args,
             policy,
-            granularity,
             cache_fraction,
-            scale,
-            seed,
-            servers,
-            multipliers,
-            topology,
-            fault_link,
             trace_events,
-            metrics,
-            metrics_format,
-            faults,
-            retry,
-            fault_seed,
-            degrade,
-            trace_spans,
-            metrics_every,
-            flight_recorder,
             shards,
         } => {
             if cache_fraction <= 0.0 || cache_fraction.is_nan() {
@@ -954,15 +1037,9 @@ pub fn run_command(command: Command) -> Result<String> {
                     "--cache-fraction must be positive".into(),
                 ));
             }
-            require_positive(metrics_every, "metrics-every")?;
-            require_positive(flight_recorder.map(|v| v as u64), "flight-recorder")?;
-            require_positive(shards.map(|v| v as u64), "shards")?;
+            require_positive(shards, "shards")?;
             if shards.is_some()
-                && (trace_events.is_some()
-                    || metrics.is_some()
-                    || trace_spans.is_some()
-                    || metrics_every.is_some()
-                    || flight_recorder.is_some())
+                && (trace_events.is_some() || args.observed() || args.flight_recorder.is_some())
             {
                 return Err(Error::InvalidConfig(
                     "--shards merges per-shard replay state; whole-stream telemetry \
@@ -972,22 +1049,11 @@ pub fn run_command(command: Command) -> Result<String> {
                 ));
             }
             let kind = parse_policy(&policy)?;
-            let granularity = parse_granularity(&granularity)?;
-            let degradation = parse_degradation(&degrade)?;
-            let fault_model = match &faults {
-                Some(spec) => parse_faults(spec, fault_seed.unwrap_or(seed))?,
-                None => None,
-            };
-            let fault_model = scope_faults(fault_model, fault_link)?;
-            let topology = match &topology {
-                Some(spec) => parse_topology(spec, &multipliers)?,
-                None => None,
-            };
             // The pipeline tracer (thread lane 0) brackets the setup
             // phases; the replay loop itself is traced by a
             // `SpanObserver` on lane 1. Ticks are query indexes, so the
             // pre-replay phases render as instants at tick 0.
-            let mut pipeline = trace_spans.as_ref().map(|_| {
+            let mut pipeline = args.trace_spans.as_ref().map(|_| {
                 let mut t = SpanTracer::new();
                 t.begin("byc run", "pipeline");
                 t.begin("parse trace", "pipeline");
@@ -997,194 +1063,102 @@ pub fn run_command(command: Command) -> Result<String> {
             // directly and the trace never materializes. Static is the
             // exception — its offline plan needs the whole trace's demand
             // profile — so it loads the file like a synthesized release.
-            let file_streamed = kind != PolicyKind::Static && parse_release(&trace).is_err();
-            let mut reader_slot: Option<byc_workload::TraceReader> = None;
-            let (catalog, resident) = if file_streamed {
-                let reader = byc_workload::TraceReader::open(std::path::Path::new(&trace))?;
-                let release = header_release(&trace, reader.name())?;
-                reader_slot = Some(reader);
-                (sdss::build(release, scale, servers.max(1)), None)
-            } else {
-                let (catalog, trace) = load_trace(&trace, scale, seed, servers.max(1))?;
-                (catalog, Some(trace))
-            };
-            if let Some(t) = pipeline.as_mut() {
-                let queries = match (&reader_slot, &resident) {
-                    (Some(reader), _) => reader.query_count(),
-                    (None, Some(tr)) => tr.len(),
-                    (None, None) => 0,
-                };
-                t.arg("queries", queries as u64);
-                t.end();
-                t.begin("build", "pipeline");
+            let (setup, mut source) =
+                ReplaySetup::new(&args, kind != PolicyKind::Static, pipeline.as_mut())?;
+            let objects = &setup.objects;
+            if let Some(n) = shards.filter(|&n| n > objects.len()) {
+                return Err(Error::InvalidConfig(format!(
+                    "--shards {n} exceeds the {} cache objects at {} granularity; \
+                     a shard beyond that would own no object",
+                    objects.len(),
+                    objects.granularity().label()
+                )));
             }
-            let objects = ObjectCatalog::uniform(&catalog, granularity);
-            // Per-object demands want the whole trace; a streamed file
-            // has none, which only Static (offline planning) consults.
-            let demands = match &resident {
-                Some(tr) => WorkloadStats::compute(tr, &objects).demands,
-                None => Vec::new(),
-            };
-            let capacity = objects.total_size().scale(cache_fraction);
-            let network = build_network(&multipliers)?;
-            if let Some(t) = pipeline.as_mut() {
-                t.arg("objects", demands.len() as u64);
-                t.end();
-            }
+            // Each tier's cache scales the site fraction by the tier's
+            // capacity factor (1 on the flat topology).
+            let db = objects.total_size();
+            let capacity = db.scale(cache_fraction);
+            let tiers = setup.topology.tiers().iter();
+            let tier_capacities = tiers.map(|t| db.scale(cache_fraction * t.capacity_scale));
+            let (demands, seed) = (&setup.demands, args.seed);
             // Telemetry rides the same replay as the accounting observers;
             // it is attached only when a flag asks for it, so plain runs
-            // keep their exact output.
-            let mut telemetry = if trace_events.is_some() || metrics.is_some() {
-                let mut t = TelemetryObserver::new(kind.label());
-                if let Some(path) = &trace_events {
-                    t = t.with_event_log(EventLogWriter::create(path, kind.label())?);
+            // keep their exact output. The decision log rides the
+            // telemetry observer; the window stream writes live during
+            // the replay, to stderr, apart from the report on stdout.
+            let label = kind.label();
+            let mut streams = Streams::new(&args, label, 1);
+            if let Some(path) = &trace_events {
+                let log = EventLogWriter::create(path, label)?;
+                streams.telemetry = Some(TelemetryObserver::new(label).with_event_log(log));
+            }
+            streams.spans = streams.spans.map(|s| s.with_tier_detail(setup.tiered));
+            let stderr = Box::new(std::io::stderr());
+            streams.windows = streams.windows.map(|w| w.with_sink(stderr));
+            let mut per_server = PerServerObserver::new();
+            let mut per_tier = PerTierObserver::new();
+            // Declared out here so the session's borrows of the policies
+            // outlive the replay.
+            let mut tier_policies: Vec<Box<dyn CachePolicy + Send + Sync>>;
+            let mut sharded: Vec<ShardedPolicy>;
+            let mut session = setup.session(&mut source);
+            match shards {
+                // Every tier sharded under the same object-range plan, as
+                // the sharded replay requires. Sharded replays reject
+                // whole-stream observers, so the per-server and per-tier
+                // breakdowns ride unsharded runs only.
+                Some(n) => {
+                    let plan = ShardPlan::new(n, objects.len());
+                    sharded = tier_capacities
+                        .map(|cap| build_sharded(kind, plan, cap, demands, seed))
+                        .collect::<Result<_>>()?;
+                    for s in sharded.iter_mut() {
+                        session = session.shards(s);
+                    }
                 }
-                Some(t)
-            } else {
-                None
-            };
-            let mut span_obs = trace_spans.as_ref().map(|_| {
-                SpanObserver::new(kind.label())
-                    .with_tid(1)
-                    .with_tier_detail(topology.is_some())
-            });
-            // The window stream writes live during the replay — stderr
-            // keeps it separate from the report on stdout.
-            let mut window_reg = metrics_every.map(|every| {
-                WindowedRegistry::new(kind.label(), every as usize)
-                    .with_sink(Box::new(std::io::stderr()))
-            });
-            let mut flat_policy = None;
-            // Initialized only on the tiered path; declared out here so
-            // the session's borrows of the policies outlive the replay.
-            let mut tier_policies: Vec<Box<dyn byc_core::policy::CachePolicy + Send + Sync>>;
-            // Sharded instances — one per tier (tiered) or exactly one
-            // (flat) — share the tier policies' lifetime story.
-            let mut shard_instances: Vec<byc_core::shard::ShardedPolicy> = Vec::new();
-            let (replay, server_costs, tier_windows) = {
-                let mut per_server = PerServerObserver::new();
-                let mut per_tier = PerTierObserver::new();
-                let mut session = if let Some(reader) = reader_slot.as_mut() {
-                    ReplaySession::from_reader(reader, &objects)
-                } else if let Some(tr) = resident.as_ref() {
-                    ReplaySession::new(tr, &objects)
-                } else {
-                    // Unreachable: `resident` is Some whenever no reader is.
-                    return Err(Error::InvalidConfig("no trace input".into()));
-                };
-                // Sharded replays reject whole-stream observers; the
-                // per-server/per-tier breakdowns ride unsharded runs only.
-                if shards.is_none() {
+                // One independent policy instance per tier.
+                None => {
+                    tier_policies = tier_capacities
+                        .map(|cap| build_policy(kind, cap, demands, seed))
+                        .collect();
+                    for p in tier_policies.iter_mut() {
+                        session = session.tier_policy(p.as_mut());
+                    }
                     session = session.observe(&mut per_server);
-                }
-                match (&topology, shards) {
-                    (Some(topo), Some(n)) => {
-                        // Every tier sharded under the same object-range
-                        // plan, as the sharded tiered replay requires.
-                        let plan = byc_core::shard::ShardPlan::new(n, objects.len());
-                        for spec in topo.tiers() {
-                            shard_instances.push(build_sharded(
-                                kind,
-                                plan,
-                                objects
-                                    .total_size()
-                                    .scale(cache_fraction * spec.capacity_scale),
-                                &demands,
-                                seed,
-                            )?);
-                        }
-                        session = session.topology(topo);
-                        for s in shard_instances.iter_mut() {
-                            session = session.shards(s);
-                        }
+                    if setup.tiered {
+                        session = session.observe(&mut per_tier);
                     }
-                    (None, Some(n)) => {
-                        let plan = byc_core::shard::ShardPlan::new(n, objects.len());
-                        shard_instances.push(build_sharded(kind, plan, capacity, &demands, seed)?);
-                        for s in shard_instances.iter_mut() {
-                            session = session.shards(s);
-                        }
-                        session = session.network(network.as_ref());
-                    }
-                    (Some(topo), None) => {
-                        // One independent policy instance per tier; each
-                        // tier's cache scales the site fraction by the
-                        // tier's capacity factor.
-                        tier_policies = topo
-                            .tiers()
-                            .iter()
-                            .map(|spec| {
-                                build_policy(
-                                    kind,
-                                    objects
-                                        .total_size()
-                                        .scale(cache_fraction * spec.capacity_scale),
-                                    &demands,
-                                    seed,
-                                )
-                            })
-                            .collect();
-                        session = session.topology(topo).observe(&mut per_tier);
-                        for p in tier_policies.iter_mut() {
-                            session = session.tier_policy(p.as_mut());
-                        }
-                    }
-                    (None, None) => {
-                        let p = flat_policy.insert(build_policy(kind, capacity, &demands, seed));
-                        session = session.policy(p.as_mut()).network(network.as_ref());
-                    }
+                    session = session.observe(&mut streams);
                 }
-                if let Some(model) = fault_model.as_deref() {
-                    session = session
-                        .faults(model)
-                        .retry(RetryPolicy::new(retry, RETRY_BACKOFF_BASE))
-                        .degrade(degradation);
-                }
-                if let Some(t) = telemetry.as_mut() {
-                    session = session.observe(t);
-                }
-                if let Some(o) = span_obs.as_mut() {
-                    session = session.observe(o);
-                }
-                if let Some(w) = window_reg.as_mut() {
-                    session = session.observe(w);
-                }
-                if let Some(depth) = flight_recorder {
-                    session = session.flight_recorder(depth);
-                }
-                let replay = session.run()?;
-                (replay, per_server.into_costs(), per_tier.into_windows())
-            };
-            let (report, warnings, postmortems) =
-                (replay.report, replay.warnings, replay.postmortems);
-            if file_streamed {
+            }
+            let replay = session.run()?;
+            let report = &replay.report;
+            let streamed = matches!(source, Source::Streamed(_));
+            if streamed {
                 // The scale guard `load_trace` applies up front, applied
                 // to the demand the streamed replay saw.
                 check_scale(
-                    &trace,
+                    &args.trace,
                     report.sequence_cost + report.failed_bytes,
                     report.queries,
-                    &catalog,
+                    &setup.catalog,
                 )?;
             }
             if let Some(t) = pipeline.as_mut() {
                 t.set_tick(report.queries as u64);
                 t.close_all();
             }
-            let topo_suffix = topology
-                .as_ref()
-                .map(|t| format!(", {} topology", t.name()))
-                .unwrap_or_default();
             let mut out = render_cost_table(
                 &format!(
-                    "{} on {} ({} caching, cache {:.0}% = {}{topo_suffix})",
+                    "{} on {} ({} caching, cache {:.0}% = {}{})",
                     report.policy,
                     report.trace,
                     report.granularity,
                     cache_fraction * 100.0,
-                    capacity
+                    capacity,
+                    setup.topology_note()
                 ),
-                std::slice::from_ref(&report),
+                std::slice::from_ref(report),
             );
             let _ = writeln!(
                 out,
@@ -1201,15 +1175,15 @@ pub fn run_command(command: Command) -> Result<String> {
                     out,
                     "sharded replay: {n} object-range shard(s), reports merged in shard order"
                 );
-            } else if file_streamed {
+            } else if streamed {
                 let _ = writeln!(out, "streamed replay: chunked, constant-memory");
             }
-            if let Some(model) = fault_model.as_deref() {
+            if let Some(model) = setup.faults.as_deref() {
                 let _ = writeln!(
                     out,
                     "faults ({}, degrade {}): retries {} | retried traffic {} | degraded queries {} | failed queries {} | availability {:.2}%",
                     model.name(),
-                    degradation.label(),
+                    setup.degradation.label(),
                     report.retries,
                     report.retried_bytes,
                     report.degraded_queries,
@@ -1220,26 +1194,25 @@ pub fn run_command(command: Command) -> Result<String> {
             // Observer warnings (parked telemetry IO errors, ring
             // truncation) surface here rather than failing the run: the
             // replay itself succeeded.
-            for w in &warnings {
+            for w in &replay.warnings {
                 let _ = writeln!(out, "warning: {w}");
             }
             // Sharded replays carry no per-tier observer; skip the
             // breakdown rather than print an all-zero hierarchy.
-            if let (Some(topo), true) = (&topology, shards.is_none()) {
+            if setup.tiered && shards.is_none() {
                 // Tiers the walk never reached still get a (zero) row, so
                 // the table always shows the whole hierarchy.
-                let mut windows = vec![QueryWindow::default(); topo.depth()];
-                for (t, w) in tier_windows {
-                    if let Some(slot) = windows.get_mut(t as usize) {
-                        *slot = w;
-                    }
-                }
-                let rows: Vec<(String, QueryWindow)> = topo
+                let topo = &setup.topology;
+                let mut rows: Vec<(String, QueryWindow)> = topo
                     .tiers()
                     .iter()
-                    .map(|s| s.name.clone())
-                    .zip(windows)
+                    .map(|s| (s.name.clone(), QueryWindow::default()))
                     .collect();
+                for (t, w) in per_tier.into_windows() {
+                    if let Some(row) = rows.get_mut(t as usize) {
+                        row.1 = w;
+                    }
+                }
                 let _ = writeln!(out);
                 let _ = write!(
                     out,
@@ -1250,26 +1223,23 @@ pub fn run_command(command: Command) -> Result<String> {
                     )
                 );
             }
+            let server_costs = per_server.into_costs();
             if server_costs.len() > 1 {
                 let _ = writeln!(out);
                 let _ = write!(
                     out,
                     "{}",
                     render_server_table(
-                        &format!("per-server WAN breakdown ({} pricing)", network.name()),
+                        &format!("per-server WAN breakdown ({} pricing)", setup.pricing),
                         &server_costs,
                     )
                 );
             }
-            if !postmortems.is_empty() {
-                // Postmortems beyond the recorder's cap were counted but
-                // not stored; say how many the dump is missing.
-                let truncated = (report.failed_queries + report.degraded_queries)
-                    .saturating_sub(postmortems.len() as u64);
+            if !replay.postmortems.is_empty() {
                 let _ = writeln!(out);
-                let _ = write!(out, "{}", render_postmortems(&postmortems, truncated));
+                out.push_str(&postmortem_dump(report, &replay.postmortems));
             }
-            if let (Some(path), Some(obs)) = (&trace_spans, span_obs) {
+            if let (Some(path), Some(obs)) = (&args.trace_spans, streams.spans) {
                 let tracer = obs.into_tracer();
                 let mut threads: Vec<(&SpanTracer, &str)> = Vec::new();
                 if let Some(p) = pipeline.as_ref() {
@@ -1290,7 +1260,7 @@ pub fn run_command(command: Command) -> Result<String> {
                     render_span_table("replay phase spans (ticks = query index)", &spans)
                 );
             }
-            if let Some(reg) = window_reg {
+            if let Some(reg) = streams.windows {
                 let _ = writeln!(out);
                 let _ = write!(
                     out,
@@ -1304,17 +1274,17 @@ pub fn run_command(command: Command) -> Result<String> {
                     )
                 );
             }
-            if let Some(t) = telemetry {
+            if let Some(t) = streams.telemetry {
                 let (snapshot, io) = t.into_parts();
                 io?;
                 let mut registry = MetricsRegistry::new();
                 registry.absorb(snapshot);
-                if let Some(path) = &metrics {
-                    write_metrics(&registry, metrics_format, path)?;
+                if let Some(path) = &args.metrics {
+                    write_metrics(&registry, args.metrics_format, path)?;
                     let _ = writeln!(
                         out,
                         "\nwrote metrics ({}) to {}",
-                        metrics_format.label(),
+                        args.metrics_format.label(),
                         path.display()
                     );
                 }
@@ -1330,206 +1300,114 @@ pub fn run_command(command: Command) -> Result<String> {
             }
             Ok(out)
         }
-        Command::Sweep {
-            trace,
-            granularity,
-            scale,
-            seed,
-            servers,
-            multipliers,
-            topology,
-            fault_link,
-            metrics,
-            metrics_format,
-            faults,
-            retry,
-            fault_seed,
-            degrade,
-            trace_spans,
-            metrics_every,
-            flight_recorder,
-        } => {
-            require_positive(metrics_every, "metrics-every")?;
-            require_positive(flight_recorder.map(|v| v as u64), "flight-recorder")?;
-            let granularity = parse_granularity(&granularity)?;
-            let degradation = parse_degradation(&degrade)?;
-            let fault_model = match &faults {
-                Some(spec) => parse_faults(spec, fault_seed.unwrap_or(seed))?,
-                None => None,
-            };
-            let fault_model = scope_faults(fault_model, fault_link)?;
-            let topology = match &topology {
-                Some(spec) => parse_topology(spec, &multipliers)?,
-                None => None,
-            };
-            let (catalog, trace) = load_trace(&trace, scale, seed, servers.max(1))?;
-            let objects = ObjectCatalog::uniform(&catalog, granularity);
-            let stats = WorkloadStats::compute(&trace, &objects);
+        Command::Sweep(args) => {
+            let (setup, mut source) = ReplaySetup::new(&args, false, None)?;
             let fractions = [0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0];
             let policies = byc_federation::policy_roster();
-            let network = build_network(&multipliers)?;
-            let session = || {
-                let mut s = ReplaySession::new(&trace, &objects);
-                s = match &topology {
-                    // The sweep builds one policy instance per tier at
-                    // each grid point itself.
-                    Some(topo) => s.topology(topo),
-                    None => s.network(network.as_ref()),
-                };
-                if let Some(model) = fault_model.as_deref() {
-                    s = s
-                        .faults(model)
-                        .retry(RetryPolicy::new(retry, RETRY_BACKOFF_BASE))
-                        .degrade(degradation);
-                }
-                s
-            };
             // Fault-aware points carry the model name in their label, and
             // tiered points the topology name, so faulted/fault-free and
             // flat/tiered exports never merge (POLICY@FRACTION@FAULT@TIER;
             // flat fault-free labels stay plain POLICY@FRACTION).
-            let fault_suffix = fault_model
+            let mut suffix = setup
+                .faults
                 .as_deref()
                 .map(|m| format!("@{}", m.name()))
                 .unwrap_or_default();
-            let fault_suffix = format!(
-                "{fault_suffix}{}",
-                topology
-                    .as_ref()
-                    .map(|t| format!("@{}", t.name()))
-                    .unwrap_or_default()
-            );
+            if setup.tiered {
+                let _ = write!(suffix, "@{}", setup.topology.name());
+            }
+            // One span-trace thread lane per job: lane 0 is reserved for
+            // `run`'s pipeline lane, and `make` runs once per job on this
+            // thread in grid order, so jobs take lanes 1, 2, ...
+            let lanes = Cell::new(0u32);
+            // One label per sweep point, so distinct (policy, fraction)
+            // cells never merge in any export.
+            let make = |kind: PolicyKind, fraction: f64| {
+                lanes.set(lanes.get().saturating_add(1));
+                let label = format!("{}@{:.2}{suffix}", kind.label(), fraction);
+                Streams::new(&args, &label, lanes.get())
+            };
+            let mut observers = Vec::new();
+            let options = SweepOptions::new(&policies, &fractions, &setup.demands, args.seed);
+            let session = setup.session(&mut source);
             // Only pay for observers when a flag asked for them; a bare
             // sweep replays into the report sink alone.
-            let observing = metrics.is_some()
-                || trace_spans.is_some()
-                || metrics_every.is_some()
-                || flight_recorder.is_some();
-            // Extra per-point output (warnings, postmortems, span-trace
-            // notes) accumulated while decomposing the observers.
-            let mut extra = String::new();
-            let points = if observing {
-                let context = fault_context(fault_model.as_deref(), retry, degradation);
-                // One span-trace thread lane per job: lane 0 is reserved
-                // for `run`'s pipeline lane, jobs start at 1, in grid
-                // order.
-                let lane = |kind: PolicyKind, fraction: f64| -> u32 {
-                    let p = policies.iter().position(|k| *k == kind).unwrap_or(0);
-                    let f = fractions
-                        .iter()
-                        .position(|x| (*x - fraction).abs() < 1e-9)
-                        .unwrap_or(0);
-                    (p * fractions.len() + f) as u32 + 1
-                };
-                // One label per sweep point, so distinct (policy,
-                // fraction) cells never merge in any export.
-                let make = |kind: PolicyKind, fraction: f64| {
-                    let label = format!("{}@{:.2}{fault_suffix}", kind.label(), fraction);
-                    SweepObserver {
-                        telemetry: metrics.is_some().then(|| TelemetryObserver::new(&label)),
-                        spans: trace_spans
-                            .is_some()
-                            .then(|| SpanObserver::new(&label).with_tid(lane(kind, fraction))),
-                        windows: metrics_every
-                            .map(|every| WindowedRegistry::new(&label, every as usize)),
-                        recorder: flight_recorder
-                            .map(|depth| FlightRecorder::new(depth).with_context(context.clone())),
-                    }
-                };
-                let mut observers = Vec::new();
-                let results = session().sweep(
-                    SweepOptions::new(&policies, &fractions, &stats.demands, seed)
-                        .observe(&make, &mut observers),
-                )?;
-                let mut registry = MetricsRegistry::new();
-                let mut tracers: Vec<(SpanTracer, String)> = Vec::new();
-                let mut points = Vec::with_capacity(results.len());
-                for (point, observer) in results.into_iter().zip(observers) {
-                    let label = format!("{}@{:.2}", point.policy, point.cache_fraction);
-                    for w in &point.warnings {
-                        let _ = writeln!(extra, "warning: {label}: {w}");
-                    }
-                    if let Some(t) = observer.telemetry {
-                        let (snapshot, io) = t.into_parts();
-                        io?;
-                        registry.absorb(snapshot);
-                    }
-                    if let Some(s) = observer.spans {
-                        tracers.push((s.into_tracer(), label.clone()));
-                    }
-                    if let Some(w) = observer.windows {
-                        // Stream post-hoc in job order: headers and
-                        // records stay deterministic instead of
-                        // interleaving across worker threads.
-                        eprintln!("{}", window_header(w.policy(), w.every()));
-                        for snapshot in w.snapshots() {
-                            eprintln!("{}", window_record(snapshot));
-                        }
-                    }
-                    if let Some(r) = observer.recorder {
-                        let postmortems = r.into_postmortems();
-                        if !postmortems.is_empty() {
-                            let truncated = (point.report.failed_queries
-                                + point.report.degraded_queries)
-                                .saturating_sub(postmortems.len() as u64);
-                            let _ = writeln!(extra, "postmortems for {label}:");
-                            let _ =
-                                write!(extra, "{}", render_postmortems(&postmortems, truncated));
-                        }
-                    }
-                    points.push(point);
-                }
-                if let Some(path) = &metrics {
-                    write_metrics(&registry, metrics_format, path)?;
-                }
-                if let Some(path) = &trace_spans {
-                    write_chrome_trace(path, tracers.iter().map(|(t, l)| (t, l.as_str())))?;
-                    let _ = writeln!(
-                        extra,
-                        "wrote span trace ({} sweep jobs) to {}",
-                        tracers.len(),
-                        path.display()
-                    );
-                }
-                points
+            let points = if args.observed() {
+                session.sweep(options.observe(&make, &mut observers))?
             } else {
-                session().sweep(SweepOptions::new(
-                    &policies,
-                    &fractions,
-                    &stats.demands,
-                    seed,
-                ))?
+                session.sweep(options)?
             };
-            let topo_note = topology
-                .as_ref()
-                .map(|t| format!(", {} topology", t.name()))
-                .unwrap_or_default();
+            // Per-point output (warnings, postmortems, span-trace note)
+            // follows the table; window streams go to stderr post-hoc in
+            // job order, so records never interleave across workers.
+            let mut extra = String::new();
+            let mut registry = MetricsRegistry::new();
+            let mut tracers: Vec<(SpanTracer, String)> = Vec::new();
+            let mut observers = observers.into_iter();
+            for point in &points {
+                let label = format!("{}@{:.2}", point.policy, point.cache_fraction);
+                for w in &point.warnings {
+                    let _ = writeln!(extra, "warning: {label}: {w}");
+                }
+                if !point.postmortems.is_empty() {
+                    let _ = writeln!(extra, "postmortems for {label}:");
+                    extra.push_str(&postmortem_dump(&point.report, &point.postmortems));
+                }
+                let Some(observer) = observers.next() else {
+                    continue;
+                };
+                if let Some(t) = observer.telemetry {
+                    let (snapshot, io) = t.into_parts();
+                    io?;
+                    registry.absorb(snapshot);
+                }
+                if let Some(s) = observer.spans {
+                    tracers.push((s.into_tracer(), label));
+                }
+                if let Some(w) = observer.windows {
+                    eprintln!("{}", window_header(w.policy(), w.every()));
+                    for snapshot in w.snapshots() {
+                        eprintln!("{}", window_record(snapshot));
+                    }
+                }
+            }
+            if let Some(path) = &args.metrics {
+                write_metrics(&registry, args.metrics_format, path)?;
+            }
+            if let Some(path) = &args.trace_spans {
+                write_chrome_trace(path, tracers.iter().map(|(t, l)| (t, l.as_str())))?;
+                let _ = writeln!(
+                    extra,
+                    "wrote span trace ({} sweep jobs) to {}",
+                    tracers.len(),
+                    path.display()
+                );
+            }
             let mut out = format!(
-                "total WAN cost (GB) vs cache size, {} caching, trace {}{topo_note}\n",
-                granularity.label(),
-                trace.name
+                "total WAN cost (GB) vs cache size, {} caching, trace {}{}\n",
+                setup.objects.granularity().label(),
+                source.name(),
+                setup.topology_note()
             );
             let _ = write!(out, "{:16}", "% of DB");
             for f in fractions {
                 let _ = write!(out, " {:>9.0}", f * 100.0);
             }
             let _ = writeln!(out);
-            for kind in &policies {
+            // `sweep` returns the points policy-major, fraction-minor:
+            // one row per policy.
+            for (kind, row) in policies.iter().zip(points.chunks(fractions.len())) {
                 let _ = write!(out, "{:16}", kind.label());
-                for f in fractions {
-                    let p = points
-                        .iter()
-                        .find(|p| p.policy == kind.label() && (p.cache_fraction - f).abs() < 1e-9)
-                        .expect("point exists");
+                for p in row {
                     let _ = write!(out, " {:>9.1}", p.report.total_cost().as_f64() / 1e9);
                 }
                 let _ = writeln!(out);
             }
-            if let Some(path) = &metrics {
+            if let Some(path) = &args.metrics {
                 let _ = writeln!(
                     out,
                     "wrote metrics ({}) to {}",
-                    metrics_format.label(),
+                    args.metrics_format.label(),
                     path.display()
                 );
             }
@@ -1591,6 +1469,7 @@ pub fn run_command(command: Command) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use byc_types::rng::SplitMix64;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1643,26 +1522,29 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                trace,
+                replay:
+                    ReplayArgs {
+                        trace,
+                        granularity,
+                        scale,
+                        seed,
+                        servers,
+                        multipliers,
+                        topology,
+                        fault_link,
+                        metrics,
+                        metrics_format,
+                        faults,
+                        retry,
+                        fault_seed,
+                        degrade,
+                        trace_spans,
+                        metrics_every,
+                        flight_recorder,
+                    },
                 policy,
-                granularity,
                 cache_fraction,
-                scale,
-                seed,
-                servers,
-                multipliers,
-                topology,
-                fault_link,
                 trace_events,
-                metrics,
-                metrics_format,
-                faults,
-                retry,
-                fault_seed,
-                degrade,
-                trace_spans,
-                metrics_every,
-                flight_recorder,
                 shards,
             } => {
                 assert_eq!(trace, "edr");
@@ -1705,8 +1587,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                servers,
-                multipliers,
+                replay:
+                    ReplayArgs {
+                        servers,
+                        multipliers,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(servers, 4);
@@ -1725,11 +1611,11 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Sweep {
+            Command::Sweep(ReplayArgs {
                 servers,
                 multipliers,
                 ..
-            } => {
+            }) => {
                 assert_eq!(servers, 2);
                 assert_eq!(multipliers, Some(vec![1.0, 3.0]));
             }
@@ -1839,26 +1725,28 @@ mod tests {
     #[test]
     fn bad_cache_fraction_rejected() {
         let cmd = Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                trace: "edr".into(),
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 1,
+                servers: 1,
+                multipliers: None,
+                topology: None,
+                fault_link: None,
+                metrics: None,
+                metrics_format: MetricsFormat::Prometheus,
+                faults: None,
+                retry: 1,
+                fault_seed: None,
+                degrade: "stale".into(),
+                trace_spans: None,
+                metrics_every: None,
+                flight_recorder: None,
+            },
             policy: "gds".into(),
-            granularity: "table".into(),
             cache_fraction: 0.0,
-            scale: 0.001,
-            seed: 1,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
             shards: None,
         };
         assert!(run_command(cmd).is_err());
@@ -1921,26 +1809,28 @@ mod tests {
         })
         .unwrap();
         let err = run_command(Command::Run {
-            trace: path.to_string_lossy().into_owned(),
+            replay: ReplayArgs {
+                trace: path.to_string_lossy().into_owned(),
+                granularity: "table".into(),
+                scale: 1.0, // wrong: trace was generated at 1e-4
+                seed: 7,
+                servers: 1,
+                multipliers: None,
+                topology: None,
+                fault_link: None,
+                metrics: None,
+                metrics_format: MetricsFormat::Prometheus,
+                faults: None,
+                retry: 1,
+                fault_seed: None,
+                degrade: "stale".into(),
+                trace_spans: None,
+                metrics_every: None,
+                flight_recorder: None,
+            },
             policy: "gds".into(),
-            granularity: "table".into(),
             cache_fraction: 0.5,
-            scale: 1.0, // wrong: trace was generated at 1e-4
-            seed: 7,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
             shards: None,
         })
         .unwrap_err();
@@ -1971,9 +1861,13 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
+                replay:
+                    ReplayArgs {
+                        metrics,
+                        metrics_format,
+                        ..
+                    },
                 trace_events,
-                metrics,
-                metrics_format,
                 ..
             } => {
                 assert_eq!(trace_events, Some(PathBuf::from("events.ndjson")));
@@ -1984,11 +1878,11 @@ mod tests {
         }
         let cmd = parse_args(&args(&["sweep", "edr", "--metrics", "sweep.prom"])).unwrap();
         match cmd {
-            Command::Sweep {
+            Command::Sweep(ReplayArgs {
                 metrics,
                 metrics_format,
                 ..
-            } => {
+            }) => {
                 assert_eq!(metrics, Some(PathBuf::from("sweep.prom")));
                 assert_eq!(metrics_format, MetricsFormat::Prometheus);
             }
@@ -2014,26 +1908,28 @@ mod tests {
         let events = dir.join(format!("byc-cli-events-{}.ndjson", std::process::id()));
         let metrics = dir.join(format!("byc-cli-metrics-{}.json", std::process::id()));
         let out = run_command(Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                trace: "edr".into(),
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 9,
+                servers: 2,
+                multipliers: Some(vec![1.0, 3.0]),
+                topology: None,
+                fault_link: None,
+                metrics: Some(metrics.clone()),
+                metrics_format: MetricsFormat::Json,
+                faults: None,
+                retry: 1,
+                fault_seed: None,
+                degrade: "stale".into(),
+                trace_spans: None,
+                metrics_every: None,
+                flight_recorder: None,
+            },
             policy: "spaceeffby".into(),
-            granularity: "table".into(),
             cache_fraction: 0.3,
-            scale: 0.001,
-            seed: 9,
-            servers: 2,
-            multipliers: Some(vec![1.0, 3.0]),
-            topology: None,
-            fault_link: None,
             trace_events: Some(events.clone()),
-            metrics: Some(metrics.clone()),
-            metrics_format: MetricsFormat::Json,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
             shards: None,
         })
         .unwrap();
@@ -2067,26 +1963,28 @@ mod tests {
         let dir = std::env::temp_dir();
         let metrics = dir.join(format!("byc-cli-metrics-{}.prom", std::process::id()));
         let out = run_command(Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                trace: "edr".into(),
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 9,
+                servers: 1,
+                multipliers: None,
+                topology: None,
+                fault_link: None,
+                metrics: Some(metrics.clone()),
+                metrics_format: MetricsFormat::Prometheus,
+                faults: None,
+                retry: 1,
+                fault_seed: None,
+                degrade: "stale".into(),
+                trace_spans: None,
+                metrics_every: None,
+                flight_recorder: None,
+            },
             policy: "gds".into(),
-            granularity: "table".into(),
             cache_fraction: 0.3,
-            scale: 0.001,
-            seed: 9,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: Some(metrics.clone()),
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
             shards: None,
         })
         .unwrap();
@@ -2116,10 +2014,14 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                faults,
-                retry,
-                fault_seed,
-                degrade,
+                replay:
+                    ReplayArgs {
+                        faults,
+                        retry,
+                        fault_seed,
+                        degrade,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(faults.as_deref(), Some("flaky:p=0.01,spike=0.05x4"));
@@ -2131,13 +2033,13 @@ mod tests {
         }
         let cmd = parse_args(&args(&["sweep", "edr", "--faults", "outage:0@10..20"])).unwrap();
         match cmd {
-            Command::Sweep {
+            Command::Sweep(ReplayArgs {
                 faults,
                 retry,
                 fault_seed,
                 degrade,
                 ..
-            } => {
+            }) => {
                 assert_eq!(faults.as_deref(), Some("outage:0@10..20"));
                 assert_eq!(retry, 1);
                 assert_eq!(fault_seed, None);
@@ -2161,6 +2063,10 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(model.name(), "flaky");
+        // The ends of each range are accepted.
+        for edge in ["flaky:p=0", "flaky:p=1,spike=1x1", "flaky:p=0.5,spike=0x8"] {
+            assert!(parse_faults(edge, 1).is_ok(), "{edge} should parse");
+        }
         // Malformed specs are rejected with the offending fragment.
         for bad in [
             "outage:0@10",
@@ -2169,8 +2075,28 @@ mod tests {
             "flaky:p=x",
             "flaky:frob=1",
             "chaos",
+            // Probabilities are finite and within [0, 1].
+            "flaky:p=nan",
+            "flaky:p=inf",
+            "flaky:p=2",
+            "flaky:p=-1",
+            "flaky:p=0.1,spike=2x4",
+            "flaky:p=0.1,spike=nanx4",
+            // Spike multipliers are finite and at least 1.
+            "flaky:p=0.1,spike=0.1x0.5",
+            "flaky:p=0.1,spike=0.1x-2",
+            "flaky:p=0.1,spike=0.1xnan",
+            "flaky:p=0.1,spike=0.1xinf",
+            // Outage windows need START < END.
+            "outage:0@200..100",
+            "outage:0@5..5",
+            "outage:0@1..2,1@9..3",
         ] {
-            assert!(parse_faults(bad, 1).is_err(), "{bad} should be rejected");
+            let err = parse_faults(bad, 1).err();
+            assert!(
+                matches!(err, Some(Error::InvalidConfig(_))),
+                "{bad} should be rejected"
+            );
         }
         assert!(parse_degradation("stale").is_ok());
         assert!(parse_degradation("fail").is_ok());
@@ -2180,26 +2106,28 @@ mod tests {
     #[test]
     fn run_with_outage_reports_fault_columns() {
         let out = run_command(Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                trace: "edr".into(),
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 5,
+                servers: 1,
+                multipliers: None,
+                topology: None,
+                fault_link: None,
+                metrics: None,
+                metrics_format: MetricsFormat::Prometheus,
+                faults: Some("outage:0@0..50".into()),
+                retry: 1,
+                fault_seed: None,
+                degrade: "fail".into(),
+                trace_spans: None,
+                metrics_every: None,
+                flight_recorder: None,
+            },
             policy: "nocache".into(),
-            granularity: "table".into(),
             cache_fraction: 0.3,
-            scale: 0.001,
-            seed: 5,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: Some("outage:0@0..50".into()),
-            retry: 1,
-            fault_seed: None,
-            degrade: "fail".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
             shards: None,
         })
         .unwrap();
@@ -2224,8 +2152,12 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                topology,
-                fault_link,
+                replay:
+                    ReplayArgs {
+                        topology,
+                        fault_link,
+                        ..
+                    },
                 ..
             } => {
                 assert_eq!(topology.as_deref(), Some("three-tier:0.1,0.25"));
@@ -2235,11 +2167,11 @@ mod tests {
         }
         let cmd = parse_args(&args(&["sweep", "edr", "--topology", "two-tier"])).unwrap();
         match cmd {
-            Command::Sweep {
+            Command::Sweep(ReplayArgs {
                 topology,
                 fault_link,
                 ..
-            } => {
+            }) => {
                 assert_eq!(topology.as_deref(), Some("two-tier"));
                 assert_eq!(fault_link, None);
             }
@@ -2293,26 +2225,28 @@ mod tests {
         let json = dir.join(format!("byc-cli-tier-{}.json", std::process::id()));
         let run = |path: &std::path::Path, format: MetricsFormat| {
             run_command(Command::Run {
-                trace: "dr1".into(),
+                replay: ReplayArgs {
+                    trace: "dr1".into(),
+                    granularity: "table".into(),
+                    scale: 0.001,
+                    seed: 11,
+                    servers: 2,
+                    multipliers: Some(vec![1.0, 2.0]),
+                    topology: Some("three-tier".into()),
+                    fault_link: None,
+                    metrics: Some(path.to_path_buf()),
+                    metrics_format: format,
+                    faults: None,
+                    retry: 1,
+                    fault_seed: None,
+                    degrade: "stale".into(),
+                    trace_spans: None,
+                    metrics_every: None,
+                    flight_recorder: None,
+                },
                 policy: "rate-profile".into(),
-                granularity: "table".into(),
                 cache_fraction: 0.05,
-                scale: 0.001,
-                seed: 11,
-                servers: 2,
-                multipliers: Some(vec![1.0, 2.0]),
-                topology: Some("three-tier".into()),
-                fault_link: None,
                 trace_events: None,
-                metrics: Some(path.to_path_buf()),
-                metrics_format: format,
-                faults: None,
-                retry: 1,
-                fault_seed: None,
-                degrade: "stale".into(),
-                trace_spans: None,
-                metrics_every: None,
-                flight_recorder: None,
                 shards: None,
             })
             .unwrap()
@@ -2365,7 +2299,7 @@ mod tests {
             queries: 150,
         })
         .unwrap();
-        let out = run_command(Command::Sweep {
+        let out = run_command(Command::Sweep(ReplayArgs {
             trace: trace.to_string_lossy().into_owned(),
             granularity: "table".into(),
             scale: 0.001,
@@ -2383,7 +2317,7 @@ mod tests {
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-        })
+        }))
         .unwrap();
         assert!(out.contains("two-tier topology"), "{out}");
         let text = std::fs::read_to_string(&metrics).unwrap();
@@ -2412,9 +2346,13 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                trace_spans,
-                metrics_every,
-                flight_recorder,
+                replay:
+                    ReplayArgs {
+                        trace_spans,
+                        metrics_every,
+                        flight_recorder,
+                        ..
+                    },
                 shards,
                 ..
             } => {
@@ -2427,7 +2365,9 @@ mod tests {
         }
         let cmd = parse_args(&args(&["sweep", "edr", "--metrics-every", "128"])).unwrap();
         match cmd {
-            Command::Sweep { metrics_every, .. } => assert_eq!(metrics_every, Some(128)),
+            Command::Sweep(ReplayArgs { metrics_every, .. }) => {
+                assert_eq!(metrics_every, Some(128))
+            }
             other => panic!("unexpected {other:?}"),
         }
         // Zero windows / zero ring depth are configuration errors.
@@ -2449,26 +2389,28 @@ mod tests {
         let spans = dir.join(format!("byc-cli-spans-{}.json", std::process::id()));
         let run = || {
             run_command(Command::Run {
-                trace: "edr".into(),
+                replay: ReplayArgs {
+                    trace: "edr".into(),
+                    granularity: "table".into(),
+                    scale: 0.001,
+                    seed: 9,
+                    servers: 1,
+                    multipliers: None,
+                    topology: None,
+                    fault_link: None,
+                    metrics: None,
+                    metrics_format: MetricsFormat::Prometheus,
+                    faults: None,
+                    retry: 1,
+                    fault_seed: None,
+                    degrade: "stale".into(),
+                    trace_spans: Some(spans.clone()),
+                    metrics_every: Some(64),
+                    flight_recorder: None,
+                },
                 policy: "gds".into(),
-                granularity: "table".into(),
                 cache_fraction: 0.3,
-                scale: 0.001,
-                seed: 9,
-                servers: 1,
-                multipliers: None,
-                topology: None,
-                fault_link: None,
                 trace_events: None,
-                metrics: None,
-                metrics_format: MetricsFormat::Prometheus,
-                faults: None,
-                retry: 1,
-                fault_seed: None,
-                degrade: "stale".into(),
-                trace_spans: Some(spans.clone()),
-                metrics_every: Some(64),
-                flight_recorder: None,
                 shards: None,
             })
             .unwrap()
@@ -2505,26 +2447,28 @@ mod tests {
     #[test]
     fn run_flight_recorder_dumps_postmortems() {
         let out = run_command(Command::Run {
-            trace: "edr".into(),
+            replay: ReplayArgs {
+                trace: "edr".into(),
+                granularity: "table".into(),
+                scale: 0.001,
+                seed: 5,
+                servers: 1,
+                multipliers: None,
+                topology: None,
+                fault_link: None,
+                metrics: None,
+                metrics_format: MetricsFormat::Prometheus,
+                faults: Some("outage:0@0..50".into()),
+                retry: 1,
+                fault_seed: None,
+                degrade: "fail".into(),
+                trace_spans: None,
+                metrics_every: None,
+                flight_recorder: Some(4),
+            },
             policy: "nocache".into(),
-            granularity: "table".into(),
             cache_fraction: 0.3,
-            scale: 0.001,
-            seed: 5,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: Some("outage:0@0..50".into()),
-            retry: 1,
-            fault_seed: None,
-            degrade: "fail".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: Some(4),
             shards: None,
         })
         .unwrap();
@@ -2548,7 +2492,7 @@ mod tests {
             queries: 120,
         })
         .unwrap();
-        let out = run_command(Command::Sweep {
+        let out = run_command(Command::Sweep(ReplayArgs {
             trace: trace.to_string_lossy().into_owned(),
             granularity: "table".into(),
             scale: 0.001,
@@ -2566,7 +2510,7 @@ mod tests {
             trace_spans: Some(spans.clone()),
             metrics_every: Some(50),
             flight_recorder: None,
-        })
+        }))
         .unwrap();
         assert!(out.contains("wrote span trace"), "{out}");
         assert!(out.contains("sweep jobs"), "{out}");
@@ -2603,7 +2547,7 @@ mod tests {
             queries: 200,
         })
         .unwrap();
-        let out = run_command(Command::Sweep {
+        let out = run_command(Command::Sweep(ReplayArgs {
             trace: trace.to_string_lossy().into_owned(),
             granularity: "table".into(),
             scale: 0.001,
@@ -2621,7 +2565,7 @@ mod tests {
             trace_spans: None,
             metrics_every: None,
             flight_recorder: None,
-        })
+        }))
         .unwrap();
         assert!(out.contains("wrote metrics"), "{out}");
         let text = std::fs::read_to_string(&metrics).unwrap();
@@ -2637,26 +2581,28 @@ mod tests {
     /// knob off; tests mutate the fields they exercise.
     fn base_run(trace: &str) -> Command {
         Command::Run {
-            trace: trace.into(),
+            replay: ReplayArgs {
+                trace: trace.into(),
+                granularity: "column".into(),
+                scale: 0.001,
+                seed: 11,
+                servers: 1,
+                multipliers: None,
+                topology: None,
+                fault_link: None,
+                metrics: None,
+                metrics_format: MetricsFormat::Prometheus,
+                faults: None,
+                retry: 1,
+                fault_seed: None,
+                degrade: "stale".into(),
+                trace_spans: None,
+                metrics_every: None,
+                flight_recorder: None,
+            },
             policy: "gds".into(),
-            granularity: "column".into(),
             cache_fraction: 0.25,
-            scale: 0.001,
-            seed: 11,
-            servers: 1,
-            multipliers: None,
-            topology: None,
-            fault_link: None,
             trace_events: None,
-            metrics: None,
-            metrics_format: MetricsFormat::Prometheus,
-            faults: None,
-            retry: 1,
-            fault_seed: None,
-            degrade: "stale".into(),
-            trace_spans: None,
-            metrics_every: None,
-            flight_recorder: None,
             shards: None,
         }
     }
@@ -2675,7 +2621,11 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Run { trace, shards, .. } => {
+            Command::Run {
+                replay: ReplayArgs { trace, .. },
+                shards,
+                ..
+            } => {
                 assert_eq!(trace, "trace.jsonl");
                 assert_eq!(shards, Some(4));
             }
@@ -2834,7 +2784,11 @@ mod tests {
         .unwrap();
         let mut cmd = base_run(&path.to_string_lossy());
         if let Command::Run {
-            ref mut trace_spans,
+            replay:
+                ReplayArgs {
+                    ref mut trace_spans,
+                    ..
+                },
             ..
         } = cmd
         {
@@ -2861,7 +2815,9 @@ mod tests {
     fn sharded_tiered_run_smoke() {
         let mut cmd = base_run("edr");
         if let Command::Run {
-            ref mut topology,
+            replay: ReplayArgs {
+                ref mut topology, ..
+            },
             ref mut shards,
             ..
         } = cmd
@@ -2879,8 +2835,10 @@ mod tests {
     fn streaming_flag_conflicts() {
         let mut cmd = base_run("edr");
         if let Command::Run {
+            replay: ReplayArgs {
+                ref mut metrics, ..
+            },
             ref mut shards,
-            ref mut metrics,
             ..
         } = cmd
         {
@@ -2912,5 +2870,357 @@ mod tests {
         let out = run_command(base_run(&path.to_string_lossy())).unwrap();
         assert!(out.contains("streamed replay: chunked"), "{out}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `argv` with `flag` set to `value` (appended; the last occurrence
+    /// of a flag wins).
+    fn with_flag(argv: &[&str], flag: &str, value: &str) -> Vec<String> {
+        let mut out = args(argv);
+        out.push(flag.into());
+        out.push(value.into());
+        out
+    }
+
+    #[test]
+    fn numeric_flags_are_typed_and_range_checked() {
+        let run = ["run", "edr", "--policy", "gds"];
+        let subcommands: [&[&str]; 4] = [
+            &run,
+            &["sweep", "edr"],
+            &["analyze", "edr"],
+            &["gen-trace", "edr", "--out", "t.jsonl"],
+        ];
+        // --scale is finite and positive, for every subcommand that
+        // builds a catalog.
+        for argv in subcommands {
+            for scale in ["0", "-0", "-1", "nan", "NaN", "inf", "-inf", "1e999"] {
+                let err = parse_args(&with_flag(argv, "--scale", scale)).unwrap_err();
+                assert!(matches!(err, Error::InvalidConfig(_)), "{argv:?} {scale}");
+                assert!(
+                    err.to_string().contains("--scale"),
+                    "{argv:?} {scale}: {err}"
+                );
+            }
+            assert!(parse_args(&with_flag(argv, "--scale", "1e-3")).is_ok());
+        }
+        // Integers convert with try_from: a value that does not fit its
+        // field is an error, never a truncation.
+        for (flag, too_big) in [
+            ("--servers", "5000000000"),
+            ("--fault-link", "4294967296"),
+            ("--retry", "4294967296"),
+        ] {
+            let err = parse_args(&with_flag(&run, flag, too_big)).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{flag}: {err}");
+            let err = parse_args(&with_flag(&["sweep", "edr"], flag, too_big)).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{flag}: {err}");
+        }
+        for flag in ["--metrics-every", "--flight-recorder", "--shards", "--seed"] {
+            for bad in ["18446744073709551616", "-1", "1.5", "x"] {
+                let err = parse_args(&with_flag(&run, flag, bad)).unwrap_err();
+                assert!(
+                    err.to_string().contains("expects an integer"),
+                    "{flag}: {err}"
+                );
+            }
+        }
+        let err = parse_args(&with_flag(
+            &["gen-trace", "edr", "--out", "t.jsonl"],
+            "--queries",
+            "-5",
+        ))
+        .unwrap_err();
+        assert!(err.to_string().contains("expects an integer"), "{err}");
+        // The largest values that fit are kept exactly.
+        match parse_args(&with_flag(&run, "--servers", "4294967295")).unwrap() {
+            Command::Run { replay, .. } => assert_eq!(replay.servers, u32::MAX),
+            other => panic!("unexpected {other:?}"),
+        }
+        match parse_args(&with_flag(&["sweep", "edr"], "--fault-link", "4294967295")).unwrap() {
+            Command::Sweep(replay) => assert_eq!(replay.fault_link, Some(u32::MAX)),
+            other => panic!("unexpected {other:?}"),
+        }
+        // --retry 0 parses but is rejected before any replay, as
+        // --metrics-every 0 is.
+        for argv in [&run[..], &["sweep", "edr"]] {
+            let cmd = parse_args(&with_flag(argv, "--retry", "0")).unwrap();
+            let err = run_command(cmd).unwrap_err();
+            assert!(
+                err.to_string().contains("--retry must be positive"),
+                "{err}"
+            );
+        }
+        // analyze has no granularity to choose: it reports both.
+        let err = parse_args(&args(&["analyze", "edr", "--granularity", "table"])).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag --granularity"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn shards_beyond_the_object_count_are_rejected() {
+        let objects =
+            ObjectCatalog::uniform(&sdss::build(SdssRelease::Edr, 0.001, 1), Granularity::Table)
+                .len();
+        let run = |shards: usize| {
+            let argv = [
+                "run",
+                "edr",
+                "--policy",
+                "nocache",
+                "--scale",
+                "0.001",
+                "--granularity",
+                "table",
+            ];
+            run_command(parse_args(&with_flag(&argv, "--shards", &shards.to_string())).unwrap())
+        };
+        for shards in [objects + 1, 100_000] {
+            let err = run(shards).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("exceeds the {objects} cache objects")),
+                "{err}"
+            );
+        }
+        // One shard per object is the most that still gives every shard
+        // an object.
+        let out = run(objects).unwrap();
+        assert!(
+            out.contains(&format!("sharded replay: {objects} object-range")),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn sweep_flight_recorder_dumps_postmortems() {
+        let dir = std::env::temp_dir();
+        let trace = dir.join(format!("byc-cli-sweep-pm-{}.jsonl", std::process::id()));
+        run_command(Command::GenTrace {
+            release: "edr".into(),
+            out: trace.clone(),
+            seed: 5,
+            scale: 0.001,
+            queries: 120,
+        })
+        .unwrap();
+        let argv = [
+            "sweep",
+            trace.to_str().unwrap(),
+            "--scale",
+            "0.001",
+            "--faults",
+            "outage:0@10..20",
+            "--degrade",
+            "fail",
+            "--retry",
+            "2",
+        ];
+        let out =
+            run_command(parse_args(&with_flag(&argv, "--flight-recorder", "2")).unwrap()).unwrap();
+        // The recorder comes from the session, so a sweep with no other
+        // stream still dumps the failing points' postmortems, stamped
+        // with the session's fault context. NoCache bypasses every
+        // slice, so each of its points crosses the outage.
+        for fraction in ["0.10", "0.50", "1.00"] {
+            assert!(
+                out.contains(&format!("postmortems for NoCache@{fraction}:")),
+                "{out}"
+            );
+        }
+        assert!(out.contains("retry up to 2; on exhaustion fail"), "{out}");
+        let plain = run_command(parse_args(&args(&argv)).unwrap()).unwrap();
+        assert!(!plain.contains("postmortem"), "{plain}");
+        assert!(out.starts_with(&plain), "the cost table must not move");
+        std::fs::remove_file(&trace).ok();
+    }
+
+    /// Byte-level mutants of `seed`: every truncation, then random bit
+    /// flips, grammar-byte substitutions, insertions and deletions.
+    /// Invalid UTF-8 is replaced lossily, as arguments arrive as
+    /// `String`s.
+    fn mutants(seed: &str, rng: &mut SplitMix64, count: usize) -> Vec<String> {
+        let bytes = seed.as_bytes();
+        let mut out: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+        let grammar = b"-+.,:@=x0123456789eEnaif \x00\xff";
+        let below = |rng: &mut SplitMix64, n: usize| {
+            usize::try_from(rng.next_bounded(n.max(1) as u64)).unwrap()
+        };
+        for _ in 0..count {
+            let mut m = bytes.to_vec();
+            let at = below(rng, m.len());
+            match rng.next_bounded(4) {
+                0 if !m.is_empty() => m[at] ^= 1 << rng.next_bounded(8),
+                1 if !m.is_empty() => m[at] = *rng.pick(grammar),
+                2 => m.insert(at.min(m.len()), *rng.pick(grammar)),
+                _ if !m.is_empty() => {
+                    m.remove(at);
+                }
+                _ => {}
+            }
+            out.push(m);
+        }
+        out.into_iter()
+            .map(|m| String::from_utf8_lossy(&m).into_owned())
+            .collect()
+    }
+
+    /// Parse `argv` and build every spec it names, the way a replay's
+    /// setup would; panics propagate to the caller's `catch_unwind`.
+    fn parse_and_build(argv: &[String]) {
+        let replay = match parse_args(argv) {
+            Ok(Command::Run { replay, policy, .. }) => {
+                let _ = parse_policy(&policy);
+                replay
+            }
+            Ok(Command::Sweep(replay)) => replay,
+            _ => return,
+        };
+        let _ = parse_granularity(&replay.granularity);
+        let _ = parse_degradation(&replay.degrade);
+        let _ = build_network(&replay.multipliers);
+        if let Some(spec) = &replay.topology {
+            let _ = parse_topology(spec, &replay.multipliers);
+        }
+        if let Some(spec) = &replay.faults {
+            if let Ok(model) = parse_faults(spec, replay.seed) {
+                let _ = scope_faults(model, replay.fault_link);
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_arguments_and_specs_never_panic() {
+        let mut rng = SplitMix64::new(0x5eed);
+        let check = |argv: Vec<String>| {
+            let outcome = std::panic::catch_unwind(|| parse_and_build(&argv));
+            assert!(outcome.is_ok(), "panicked on {argv:?}");
+        };
+        let valid: [&[&str]; 2] = [
+            &[
+                "run",
+                "edr",
+                "--policy",
+                "gds",
+                "--scale",
+                "0.001",
+                "--cache-fraction",
+                "0.2",
+                "--servers",
+                "3",
+                "--cost-multipliers",
+                "1,2.5,4e0",
+                "--topology",
+                "three-tier:0.1,0.25",
+                "--faults",
+                "flaky:p=0.02,spike=0.05x4",
+                "--fault-link",
+                "1",
+                "--retry",
+                "3",
+                "--fault-seed",
+                "9",
+                "--degrade",
+                "fail",
+                "--metrics-every",
+                "5000",
+                "--flight-recorder",
+                "8",
+                "--shards",
+                "2",
+            ],
+            &[
+                "sweep",
+                "t.jsonl",
+                "--granularity",
+                "table",
+                "--topology",
+                "two-tier:0.5",
+                "--faults",
+                "outage:0@100..200,1@5..8",
+                "--metrics",
+                "m.json",
+                "--metrics-format",
+                "json",
+                "--seed",
+                "7",
+            ],
+        ];
+        for argv in valid {
+            let base = args(argv);
+            check(base.clone());
+            for i in 0..base.len() {
+                // One argument mutated byte by byte...
+                for m in mutants(&base[i], &mut rng, 40) {
+                    let mut mutated = base.clone();
+                    mutated[i] = m;
+                    check(mutated);
+                }
+                // ...or dropped, duplicated, or swapped with its neighbour.
+                let mut dropped = base.clone();
+                dropped.remove(i);
+                check(dropped);
+                let mut doubled = base.clone();
+                doubled.insert(i, base[i].clone());
+                check(doubled);
+                let mut swapped = base.clone();
+                swapped.swap(i, (i + 1) % base.len());
+                check(swapped);
+            }
+        }
+        // The spec grammars directly, including values that parse as
+        // numbers but are out of range.
+        let faults = [
+            "none",
+            "outage:0@10..20,1@5..8",
+            "flaky:p=0.01,spike=0.05x4",
+        ];
+        let topologies = ["flat", "two-tier:0.25", "three-tier:0.1,0.25"];
+        let multipliers = ["1,2.5,4e0", "0.5"];
+        let tokens = [
+            "nan",
+            "inf",
+            "-inf",
+            "-1",
+            "0",
+            "1e400",
+            "18446744073709551616",
+            "",
+        ];
+        for seed in faults {
+            let mut cases = mutants(seed, &mut rng, 400);
+            cases.extend(tokens.iter().map(|t| seed.replace("0.0", t)));
+            for spec in cases {
+                let outcome = std::panic::catch_unwind(|| {
+                    if let Ok(model) = parse_faults(&spec, 3) {
+                        let _ = scope_faults(model, Some(u32::MAX));
+                    }
+                });
+                assert!(outcome.is_ok(), "--faults {spec:?} panicked");
+            }
+        }
+        for seed in topologies {
+            let mut cases = mutants(seed, &mut rng, 400);
+            cases.extend(tokens.iter().map(|t| seed.replace("0.", t)));
+            for spec in cases {
+                for origin in [None, Some(vec![1.0, 2.0])] {
+                    let outcome = std::panic::catch_unwind(|| parse_topology(&spec, &origin));
+                    assert!(outcome.is_ok(), "--topology {spec:?} panicked");
+                }
+            }
+        }
+        for seed in multipliers {
+            let mut cases = mutants(seed, &mut rng, 400);
+            cases.extend(tokens.iter().map(|t| format!("1,{t}")));
+            for spec in cases {
+                let argv = args(&["run", "edr", "--policy", "gds", "--cost-multipliers", &spec]);
+                check(argv.clone());
+                let mut tiered = argv;
+                tiered.extend(args(&["--topology", "two-tier"]));
+                check(tiered);
+            }
+        }
     }
 }

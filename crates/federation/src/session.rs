@@ -227,8 +227,8 @@ impl<'a> ReplaySession<'a> {
     /// Attach a fault flight recorder keeping the last `depth` events
     /// per tier: whenever a query fails or degrades, the recorder
     /// snapshots an annotated [`Postmortem`](crate::engine::Postmortem)
-    /// into [`Replay::postmortems`], stamped with the session's fault
-    /// configuration.
+    /// into [`Replay::postmortems`] (each [`SweepPoint::postmortems`] in
+    /// a sweep), stamped with the session's fault configuration.
     #[must_use]
     pub fn flight_recorder(mut self, depth: usize) -> Self {
         self.flight_recorder = Some(depth.max(1));
@@ -595,6 +595,7 @@ impl<'a> ReplaySession<'a> {
             audit,
             sample_every,
             topology,
+            flight_recorder,
             ..
         } = self;
         let Some(trace) = trace else {
@@ -669,6 +670,9 @@ impl<'a> ReplaySession<'a> {
                         if let Some(every) = sample_every {
                             session = session.series(every);
                         }
+                        if let Some(depth) = flight_recorder {
+                            session = session.flight_recorder(depth);
+                        }
                         session = match audit {
                             Some(true) => session.audited(),
                             Some(false) => session.unaudited(),
@@ -683,6 +687,7 @@ impl<'a> ReplaySession<'a> {
                                 capacity,
                                 report: replay.report,
                                 warnings: replay.warnings,
+                                postmortems: replay.postmortems,
                             },
                             observer,
                         ))
@@ -1076,6 +1081,42 @@ mod tests {
         for p in &points {
             assert!(p.report.conserves_delivery(), "{}", p.policy);
         }
+    }
+
+    #[test]
+    fn sweep_honours_the_flight_recorder() {
+        let (trace, objects) = setup(1, 400);
+        let stats = WorkloadStats::compute(&trace, &objects);
+        let model = OutageWindows::new(vec![Outage {
+            server: ServerId::new(0),
+            from: Tick::new(50),
+            until: Tick::new(90),
+        }]);
+        let kinds = [PolicyKind::NoCache, PolicyKind::RateProfile];
+        let session = || {
+            ReplaySession::new(&trace, &objects)
+                .faults(&model)
+                .degrade(DegradationPolicy::Fail)
+        };
+        let options = || SweepOptions::new(&kinds, &[0.3], &stats.demands, 1);
+        let points = session().flight_recorder(3).sweep(options()).unwrap();
+        // Each point's postmortems are the ones its own run records.
+        for (point, kind) in points.iter().zip(kinds) {
+            let mut policy = build_policy(kind, point.capacity, &stats.demands, 1);
+            let replay = ReplaySession::new(&trace, &objects)
+                .policy(policy.as_mut())
+                .faults(&model)
+                .degrade(DegradationPolicy::Fail)
+                .flight_recorder(3)
+                .run()
+                .unwrap();
+            assert_eq!(point.postmortems, replay.postmortems, "{}", point.policy);
+            assert_eq!(point.warnings, replay.warnings, "{}", point.policy);
+        }
+        assert!(!points[0].postmortems.is_empty());
+        // Without the recorder a sweep keeps none.
+        let bare = session().sweep(options()).unwrap();
+        assert!(bare.iter().all(|p| p.postmortems.is_empty()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! point.
 
 use crate::accounting::CostReport;
-use crate::engine::Observer;
+use crate::engine::{Observer, Postmortem};
 use crate::policies::PolicyKind;
 use byc_core::static_opt::ObjectDemand;
 use byc_types::Bytes;
@@ -121,8 +121,11 @@ pub struct SweepPoint {
     pub report: CostReport,
     /// Observer warnings drained from the job's replay (parked
     /// telemetry IO errors, flight-recorder truncation notes). Empty
-    /// for observer-free sweeps and clean runs.
+    /// for clean runs.
     pub warnings: Vec<String>,
+    /// The job's flight-recorder postmortems when the session set
+    /// [`ReplaySession::flight_recorder`](crate::session::ReplaySession::flight_recorder).
+    pub postmortems: Vec<Postmortem>,
 }
 
 #[cfg(test)]
