@@ -82,7 +82,11 @@ pub fn gap_analysis(trace: &Trace, objects: &ObjectCatalog) -> (GapReport, Vec<u
         if gaps.is_empty() {
             0
         } else {
-            gaps[((gaps.len() - 1) as f64 * p) as usize]
+            // The cast is guarded: p is a fraction in [0, 1], so the
+            // rank truncates into 0..gaps.len() (the nearest rank below).
+            #[allow(clippy::cast_possible_truncation)]
+            let rank = ((gaps.len() - 1) as f64 * p) as usize;
+            gaps[rank]
         }
     };
     let beyond = |cutoff: u64| -> f64 {

@@ -1124,7 +1124,11 @@ pub fn run_command(command: Command) -> Result<String> {
                     for p in tier_policies.iter_mut() {
                         session = session.tier_policy(p.as_mut());
                     }
-                    session = session.observe(&mut per_server);
+                    // The per-server table prints only with two or more
+                    // servers; a one-server run keeps the report-only lane.
+                    if objects.server_count() > 1 {
+                        session = session.observe(&mut per_server);
+                    }
                     if setup.tiered {
                         session = session.observe(&mut per_tier);
                     }

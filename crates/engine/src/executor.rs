@@ -188,7 +188,7 @@ impl<'a> RowStore<'a> {
         }
 
         // Plain projection.
-        let limit = resolved.top.unwrap_or(u64::MAX) as usize;
+        let limit = usize::try_from(resolved.top.unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
         let mut values = Vec::new();
         let mut width = 0u64;
         for access in &resolved.tables {

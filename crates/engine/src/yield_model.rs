@@ -70,6 +70,9 @@ fn apportion(total: u64, weights: &[f64]) -> Vec<u64> {
     let mut assigned = 0u64;
     for (i, &w) in weights.iter().enumerate() {
         let exact = total as f64 * (w / wsum);
+        // The cast is guarded: `w / wsum` is a share in [0, 1], so the
+        // floor lies in [0, total].
+        #[allow(clippy::cast_possible_truncation)]
         let floor = exact.floor() as u64;
         shares.push(floor);
         assigned += floor;
@@ -157,6 +160,9 @@ impl<'a> YieldModel<'a> {
         if let Some(top) = query.top {
             rows = rows.min(top as f64);
         }
+        // A non-negative row count; `as` saturates an estimate beyond
+        // u64::MAX (the only float-to-int conversion Rust offers).
+        #[allow(clippy::cast_possible_truncation)]
         let result_rows = rows.round().max(if rows > 0.0 { 1.0 } else { 0.0 }) as u64;
         let width = self.row_width(query);
         let total = result_rows.saturating_mul(width);

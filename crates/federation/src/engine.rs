@@ -6,17 +6,17 @@
 //! TraceQuery → Access stream → Decision → CostEvent → observers
 //! ```
 //!
-//! Two functions interpret a `Decision` as WAN cost: `slice_event`
-//! for one access on a one-tier stack (a flat network, or a one-tier
-//! topology) and `serve_slice_tiered` for the walk up a deeper tier
-//! hierarchy, of which the one-tier case is the degenerate form. The
-//! chunked replay kernel in [`crate::stream`] runs them for every
-//! session replay. The [`ReplayEngine`] in this module resolves and
-//! prices each
-//! query as it goes: it serves the [`Mediator`] and the semantic
-//! baseline, and with [`replay_tiered`] it is the uncompiled oracle the
-//! equivalence suites hold the kernel to. Everything downstream is an
-//! [`Observer`] composition:
+//! One function interprets a `Decision` as WAN cost: the tier walk,
+//! `serve_slice_tiered`, at any depth. A flat network is its one-tier
+//! case. The chunked replay kernel in [`crate::stream`] runs it for
+//! every session replay, short-cutting only the report-only one-tier
+//! fault-free lane into [`CostObserver`]'s window. The [`ReplayEngine`]
+//! in this module resolves and prices each query as it goes and walks
+//! each slice through the same function: it serves the [`Mediator`] and
+//! the semantic baseline, and as [`ReplayEngine::replay`] (flat) and
+//! [`replay_tiered`] it is the uncompiled oracle the equivalence suites
+//! hold the kernel to. Everything downstream is an [`Observer`]
+//! composition:
 //!
 //! * [`CostObserver`] — accumulates a [`CostReport`] (Tables 1–2);
 //! * [`SeriesObserver`] — samples the cumulative-cost curves (Figs 7–8);
@@ -30,7 +30,7 @@
 use crate::accounting::CostReport;
 use crate::compiled::CompiledSlice;
 use crate::faults::{spiked_cost, FaultPlan};
-use crate::network::NetworkModel;
+use crate::network::{NetworkModel, Pricing, Topology};
 use crate::simulator::SeriesPoint;
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_core::access::Access;
@@ -112,6 +112,45 @@ pub struct CostEvent<'a> {
     /// The deciding policy, for observers that introspect cache state
     /// (the auditor's post-decision checks).
     pub policy: Option<&'a dyn CachePolicy>,
+}
+
+impl<'a> CostEvent<'a> {
+    /// An event for one slice at one tier with every byte field and
+    /// counter zero; the conversion fills in its cost split.
+    pub(crate) fn new(
+        query: usize,
+        object: ObjectId,
+        server: ServerId,
+        tier: u32,
+        access: Option<&'a Access>,
+        decision: Option<&'a Decision>,
+        policy: Option<&'a dyn CachePolicy>,
+    ) -> Self {
+        CostEvent {
+            query,
+            object,
+            server,
+            tier,
+            access,
+            delivered: Bytes::ZERO,
+            bypass_served: Bytes::ZERO,
+            bypass_cost: Bytes::ZERO,
+            fetch_cost: Bytes::ZERO,
+            relay_cost: Bytes::ZERO,
+            cache_served: Bytes::ZERO,
+            retried_bytes: Bytes::ZERO,
+            failed_bytes: Bytes::ZERO,
+            hits: 0,
+            bypasses: 0,
+            loads: 0,
+            evictions: 0,
+            retries: 0,
+            failed: 0,
+            degraded: 0,
+            decision,
+            policy,
+        }
+    }
 }
 
 impl std::fmt::Debug for CostEvent<'_> {
@@ -226,111 +265,6 @@ pub fn decompose(query: &TraceQuery, objects: &ObjectCatalog) -> Vec<(ObjectId, 
     out
 }
 
-/// Convert one flat (access, decision) pair into its [`CostEvent`]: the
-/// conversion behind [`ReplayEngine::serve_query`] and behind every
-/// one-tier slice the kernel replays.
-///
-/// `priced_yield` is the network-priced WAN cost of bypassing the slice;
-/// it is lazy (`FnOnce`) so the uncompiled path only prices bypassed
-/// slices, while the kernel passes its precompiled value for free.
-/// `access.fetch_cost` must already be priced by the object's
-/// home-server link.
-///
-/// The decision stream is fault-independent: the policy never sees
-/// transfer outcomes, so decision counters (and the policy's own state
-/// evolution) are identical with and without faults — which is exactly
-/// what makes the faulted/fault-free reconciliation invariant exact.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn slice_event<'a>(
-    index: usize,
-    time: Tick,
-    raw_yield: Bytes,
-    server: ServerId,
-    access: &'a Access,
-    decision: &'a Decision,
-    policy: &'a dyn CachePolicy,
-    faults: Option<&FaultPlan<'_>>,
-    priced_yield: impl FnOnce() -> Bytes,
-) -> CostEvent<'a> {
-    let object = access.object;
-    let mut event = CostEvent {
-        query: index,
-        object,
-        server,
-        tier: 0,
-        access: Some(access),
-        delivered: raw_yield,
-        bypass_served: Bytes::ZERO,
-        bypass_cost: Bytes::ZERO,
-        fetch_cost: Bytes::ZERO,
-        relay_cost: Bytes::ZERO,
-        cache_served: Bytes::ZERO,
-        retried_bytes: Bytes::ZERO,
-        failed_bytes: Bytes::ZERO,
-        hits: 0,
-        bypasses: 0,
-        loads: 0,
-        evictions: 0,
-        retries: 0,
-        failed: 0,
-        degraded: 0,
-        decision: Some(decision),
-        policy: Some(policy),
-    };
-    match decision {
-        Decision::Hit => {
-            event.hits = 1;
-            event.cache_served = raw_yield;
-        }
-        Decision::Bypass => {
-            event.bypasses = 1;
-            match faults {
-                None => {
-                    event.bypass_served = raw_yield;
-                    event.bypass_cost = priced_yield();
-                }
-                Some(plan) => {
-                    let nominal = priced_yield();
-                    let res = plan.fetch(index, time, object, server);
-                    event.retries = u64::from(res.failed_attempts);
-                    event.retried_bytes = FaultPlan::wasted_bytes(nominal, res.failed_attempts);
-                    match res.delivered {
-                        Some(m) => {
-                            event.bypass_served = raw_yield;
-                            event.bypass_cost = spiked_cost(nominal, m);
-                        }
-                        None => degrade_slice(plan, &mut event, raw_yield),
-                    }
-                }
-            }
-        }
-        Decision::Load { evictions } => {
-            event.loads = 1;
-            event.evictions = evictions.len() as u64;
-            match faults {
-                None => {
-                    event.fetch_cost = access.fetch_cost;
-                    event.cache_served = raw_yield;
-                }
-                Some(plan) => {
-                    let res = plan.fetch(index, time, object, server);
-                    event.retries = u64::from(res.failed_attempts);
-                    event.retried_bytes =
-                        FaultPlan::wasted_bytes(access.fetch_cost, res.failed_attempts);
-                    match res.delivered {
-                        Some(m) => {
-                            event.fetch_cost = spiked_cost(access.fetch_cost, m);
-                            event.cache_served = raw_yield;
-                        }
-                        None => degrade_slice(plan, &mut event, raw_yield),
-                    }
-                }
-            }
-        }
-    }
-    event
-}
-
 /// Resolve a slice whose retry budget is exhausted, per the plan's
 /// [`DegradationPolicy`](crate::faults::DegradationPolicy): serve the
 /// stale local copy (degraded, cache-tier delivery, zero fresh WAN)
@@ -351,11 +285,13 @@ fn degrade_slice(plan: &FaultPlan<'_>, event: &mut CostEvent<'_>, raw_yield: Byt
     }
 }
 
-/// Resolve one object slice through a tier hierarchy — the tiered
-/// counterpart of [`slice_event`]. The replay kernel
-/// ([`crate::stream`]) runs it for every slice on a stack of two or
-/// more tiers, and the uncompiled tiered oracle [`replay_tiered`] runs
-/// it at every depth with catalog-and-topology price providers.
+/// Resolve one object slice through a tier hierarchy: the one
+/// conversion of a [`Decision`] into [`CostEvent`]s. A flat network is
+/// the one-tier stack. The replay kernel ([`crate::stream`]) runs it
+/// for every slice except the report-only one-tier fault-free lane,
+/// which settles in place through [`CostObserver::settle`]; the
+/// [`ReplayEngine`] runs it for every slice with catalog-and-network
+/// price providers.
 ///
 /// The walk consults tier 0 first. A `Bypass` forwards the request one
 /// hop up; a `Hit` at tier `r` serves the slice from that tier, relaying
@@ -365,9 +301,10 @@ fn degrade_slice(plan: &FaultPlan<'_>, event: &mut CostEvent<'_>, raw_yield: Byt
 /// slice from the origin over every link. One [`CostEvent`] is emitted
 /// per *consulted* tier: inner bypasses carry only their link's relay
 /// cost, the resolving tier carries the delivery, retry accounting, and
-/// degradation flags. With a single tier this degenerates to exactly
-/// [`slice_event`]'s arithmetic — the flat bit-identity the equivalence
-/// proptests pin.
+/// degradation flags. With a single tier this is the paper's flat rule
+/// (§3): a hit is served from the cache (`D_C`), a bypass ships the
+/// yield from the home server (`D_S`), and a load fetches the object at
+/// its priced `f_i` (`D_L`).
 ///
 /// Fault exposure follows the bytes: the transfer crosses the link set
 /// of the resolution (nothing for a tier-0 hit), fails when any link in
@@ -376,9 +313,9 @@ fn degrade_slice(plan: &FaultPlan<'_>, event: &mut CostEvent<'_>, raw_yield: Byt
 /// `tiers` holds one policy per caching tier, bottom-up (index 0 is the
 /// site tier nearest the clients). `yield_price(l)` prices the slice's
 /// yield over link `l`; `fetch_suffix(t)` prices the object's origin
-/// fetch down to tier `t`. `scratch` is caller-owned so the per-slice
-/// decision walk allocates nothing once warm.
+/// fetch down to tier `t`.
 #[allow(clippy::too_many_arguments)]
+#[inline]
 pub(crate) fn serve_slice_tiered(
     index: usize,
     time: Tick,
@@ -390,55 +327,51 @@ pub(crate) fn serve_slice_tiered(
     faults: Option<&FaultPlan<'_>>,
     yield_price: impl Fn(usize) -> Bytes,
     fetch_suffix: impl Fn(usize) -> Bytes,
-    scratch: &mut Vec<(Access, Decision)>,
     mut emit: impl FnMut(&CostEvent<'_>),
 ) {
-    let depth = tiers.len();
+    let access_at = |t: usize| Access {
+        object,
+        time,
+        yield_bytes: raw_yield,
+        size,
+        fetch_cost: fetch_suffix(t),
+    };
     // Phase 1: the decision walk, bottom-up until a Hit or Load resolves
     // the slice (or the last tier bypasses to the origin). Decisions are
     // taken before any fault is consulted, so the decision stream — and
-    // every tier policy's state evolution — is fault-independent, exactly
-    // like the flat path.
-    scratch.clear();
+    // every tier policy's state evolution — is fault-independent. Every
+    // tier below the resolving one bypassed, so only the resolution is
+    // kept.
+    let depth = tiers.len();
+    let mut resolution = None;
     for (t, tier) in tiers.iter_mut().enumerate() {
-        let access = Access {
-            object,
-            time,
-            yield_bytes: raw_yield,
-            size,
-            fetch_cost: fetch_suffix(t),
-        };
+        let access = access_at(t);
         let decision = tier.on_access(&access);
-        let resolved = !decision.is_bypass();
-        scratch.push((access, decision));
-        if resolved {
+        if !decision.is_bypass() || t.saturating_add(1) == depth {
+            resolution = Some((t, access, decision));
             break;
         }
     }
-    let Some(top) = scratch.len().checked_sub(1) else {
+    let Some((top, access, decision)) = resolution else {
         return; // zero-tier topology: validated unreachable
     };
 
     // Phase 2: resolve the transfer over the links the bytes traverse.
     // A tier-0 hit crosses no WAN link and never consults the fault
-    // model (matching the flat path, where hits are fault-free).
-    let resolution = scratch.last().map(|(_, d)| d);
-    let links: std::ops::Range<u32> = match resolution {
-        Some(Decision::Hit) => 0..u32::try_from(top).unwrap_or(u32::MAX),
+    // model.
+    let links: std::ops::Range<u32> = match decision {
+        Decision::Hit => 0..u32::try_from(top).unwrap_or(u32::MAX),
         _ => 0..u32::try_from(depth).unwrap_or(u32::MAX),
     };
-    let transfer = match faults {
+    let (multiplier, failed_attempts, delivered_ok) = match faults {
         Some(plan) if !links.is_empty() => {
-            Some(plan.fetch_path(index, time, object, server, links))
+            let res = plan.fetch_path(index, time, object, server, links);
+            match res.delivered {
+                Some(m) => (m, res.failed_attempts, true),
+                None => (1.0, res.failed_attempts, false),
+            }
         }
-        _ => None,
-    };
-    let (multiplier, failed_attempts, delivered_ok) = match &transfer {
-        None => (1.0, 0u32, true),
-        Some(res) => match res.delivered {
-            Some(m) => (m, res.failed_attempts, true),
-            None => (1.0, res.failed_attempts, false),
-        },
+        _ => (1.0, 0u32, true),
     };
     // Nominal priced cost of the whole transfer path, for retry-waste
     // accounting. Computed only when attempts actually failed.
@@ -446,96 +379,83 @@ pub(crate) fn serve_slice_tiered(
         Bytes::ZERO
     } else {
         let downstream: Bytes = (0..top).map(&yield_price).sum();
-        let nominal = match resolution {
-            Some(Decision::Hit) => downstream,
-            Some(Decision::Load { .. }) => downstream + fetch_suffix(top),
-            _ => downstream + yield_price(top),
+        let nominal = match decision {
+            Decision::Hit => downstream,
+            Decision::Load { .. } => downstream + fetch_suffix(top),
+            Decision::Bypass => downstream + yield_price(top),
         };
         FaultPlan::wasted_bytes(nominal, failed_attempts)
     };
 
     // Phase 3: emit one event per consulted tier. Inner tiers (below the
-    // resolution) carry only their relay traffic; the resolving tier
-    // carries delivery, retries, and degradation.
-    for (t, (access, decision)) in scratch.iter().enumerate() {
-        let Some(tier) = tiers.get(t) else { continue };
-        let mut event = CostEvent {
-            query: index,
+    // resolution) bypassed and carry only their relay traffic: when the
+    // transfer delivered, the yield crossed their link.
+    let bypass = Decision::Bypass;
+    for (t, tier) in tiers.iter().enumerate().take(top) {
+        let inner = access_at(t);
+        let mut event = CostEvent::new(
+            index,
             object,
             server,
-            tier: u32::try_from(t).unwrap_or(u32::MAX),
-            access: Some(access),
-            delivered: Bytes::ZERO,
-            bypass_served: Bytes::ZERO,
-            bypass_cost: Bytes::ZERO,
-            fetch_cost: Bytes::ZERO,
-            relay_cost: Bytes::ZERO,
-            cache_served: Bytes::ZERO,
-            retried_bytes: Bytes::ZERO,
-            failed_bytes: Bytes::ZERO,
-            hits: 0,
-            bypasses: 0,
-            loads: 0,
-            evictions: 0,
-            retries: 0,
-            failed: 0,
-            degraded: 0,
-            decision: Some(decision),
-            policy: Some(&**tier),
-        };
-        if t < top {
-            // Inner bypass: the slice passed through on its way up; when
-            // the transfer delivered, its yield crossed this tier's link.
-            event.bypasses = 1;
-            if delivered_ok {
-                event.relay_cost = spiked_cost(yield_price(t), multiplier);
-            }
-            emit(&event);
-            continue;
-        }
-        // The resolving tier.
-        event.delivered = raw_yield;
-        event.retries = u64::from(failed_attempts);
-        event.retried_bytes = wasted;
-        match decision {
-            Decision::Hit => {
-                event.hits = 1;
-            }
-            Decision::Bypass => {
-                event.bypasses = 1;
-            }
-            Decision::Load { evictions } => {
-                event.loads = 1;
-                event.evictions = evictions.len() as u64;
-            }
-        }
+            u32::try_from(t).unwrap_or(u32::MAX),
+            Some(&inner),
+            Some(&bypass),
+            Some(&**tier),
+        );
+        event.bypasses = 1;
         if delivered_ok {
-            match decision {
-                Decision::Hit => {
-                    event.cache_served = raw_yield;
-                }
-                Decision::Bypass => {
-                    event.bypass_served = raw_yield;
-                    event.bypass_cost = spiked_cost(yield_price(t), multiplier);
-                }
-                Decision::Load { .. } => {
-                    event.fetch_cost = spiked_cost(fetch_suffix(t), multiplier);
-                    event.cache_served = raw_yield;
-                }
-            }
-        } else if let Some(plan) = faults {
-            degrade_slice(plan, &mut event, raw_yield);
+            event.relay_cost = spiked_cost(yield_price(t), multiplier);
         }
         emit(&event);
     }
+    // The resolving tier carries delivery, retries, and degradation.
+    let Some(tier) = tiers.get(top) else { return };
+    let mut event = CostEvent::new(
+        index,
+        object,
+        server,
+        u32::try_from(top).unwrap_or(u32::MAX),
+        Some(&access),
+        Some(&decision),
+        Some(&**tier),
+    );
+    event.delivered = raw_yield;
+    event.retries = u64::from(failed_attempts);
+    event.retried_bytes = wasted;
+    match &decision {
+        Decision::Hit => {
+            event.hits = 1;
+            if delivered_ok {
+                event.cache_served = raw_yield;
+            }
+        }
+        Decision::Bypass => {
+            event.bypasses = 1;
+            if delivered_ok {
+                event.bypass_served = raw_yield;
+                event.bypass_cost = spiked_cost(yield_price(top), multiplier);
+            }
+        }
+        Decision::Load { evictions } => {
+            event.loads = 1;
+            event.evictions = evictions.len() as u64;
+            if delivered_ok {
+                event.fetch_cost = spiked_cost(fetch_suffix(top), multiplier);
+                event.cache_served = raw_yield;
+            }
+        }
+    }
+    if let (false, Some(plan)) = (delivered_ok, faults) {
+        degrade_slice(plan, &mut event, raw_yield);
+    }
+    emit(&event);
 }
 
 /// Replay a whole trace through a tier hierarchy the uncompiled way:
-/// per query, [`decompose`] against the catalog and price every link
-/// through the topology, then resolve each slice with the shared tier
-/// walk. This is the tiered oracle the equivalence suites hold the
-/// chunked kernel to; no session runs it. `tiers` holds one policy per
-/// topology tier, bottom-up.
+/// [`ReplayEngine::replay`]'s per-query loop with every link priced
+/// through the topology. This is the tiered oracle the equivalence
+/// suites hold the chunked kernel to; no session runs it. `tiers` holds
+/// one policy per topology tier, bottom-up.
 ///
 /// Emits the full observer protocol per query but does *not* call
 /// [`Observer::finish`]: a per-tier audit observer needs its own tier's
@@ -543,60 +463,33 @@ pub(crate) fn serve_slice_tiered(
 pub fn replay_tiered(
     trace: &Trace,
     objects: &ObjectCatalog,
-    topology: &crate::network::Topology,
+    topology: &Topology,
     tiers: &mut [&mut dyn CachePolicy],
     faults: Option<&FaultPlan<'_>>,
     observers: &mut [&mut dyn Observer],
 ) {
-    let mut scratch: Vec<(Access, Decision)> = Vec::with_capacity(topology.depth());
-    let access_count = partition_access_observers(observers);
-    for (index, query) in trace.queries.iter().enumerate() {
-        let time = Tick::new(index as u64);
-        for obs in observers.iter_mut() {
-            obs.on_query_start(index, query);
-        }
-        for (object, raw_yield) in decompose(query, objects) {
-            let info = objects.info(object);
-            let server = info.server;
-            let fetch = info.fetch_cost;
-            serve_slice_tiered(
-                index,
-                time,
-                object,
-                server,
-                raw_yield,
-                info.size,
-                tiers,
-                faults,
-                |l| topology.link_price(l, server, raw_yield),
-                |t| topology.fetch_suffix(t, server, fetch),
-                &mut scratch,
-                |event| {
-                    for obs in observers.iter_mut().take(access_count) {
-                        obs.on_access(event);
-                    }
-                },
-            );
-        }
-        for obs in observers.iter_mut() {
-            obs.on_query_end(index, query);
-        }
-    }
+    let engine = ReplayEngine {
+        objects,
+        pricing: Pricing::Tiered(topology),
+        faults: faults.copied(),
+    };
+    engine.replay_stack(trace, tiers, observers);
 }
 
 /// The per-query engine: resolves each query against the catalog and
-/// prices it through a [`NetworkModel`] as it goes, with no compilation
-/// step. The mediator and the semantic baseline serve queries through
-/// it one at a time; [`ReplayEngine::replay`] is the flat uncompiled
-/// oracle the equivalence suites hold the chunked kernel
+/// prices it as it goes, with no compilation step, then walks every
+/// slice through the tier walk. The mediator and the semantic baseline
+/// serve queries through it one at a time; [`ReplayEngine::replay`]
+/// (a flat network, priced as one tier) and [`replay_tiered`] are the
+/// uncompiled oracles the equivalence suites hold the chunked kernel
 /// ([`crate::stream`]) to.
 ///
-/// An engine is a stateless view over an [`ObjectCatalog`] and a
-/// [`NetworkModel`]; all replay state lives in the policy and the
-/// observers, so one engine can serve any number of replays.
+/// An engine is a stateless view over an [`ObjectCatalog`] and its
+/// pricing; all replay state lives in the policies and the observers,
+/// so one engine can serve any number of replays.
 pub struct ReplayEngine<'a> {
     objects: &'a ObjectCatalog,
-    network: &'a dyn NetworkModel,
+    pricing: Pricing<'a>,
     faults: Option<FaultPlan<'a>>,
 }
 
@@ -612,7 +505,7 @@ impl<'a> ReplayEngine<'a> {
     pub fn with_network(objects: &'a ObjectCatalog, network: &'a dyn NetworkModel) -> Self {
         ReplayEngine {
             objects,
-            network,
+            pricing: Pricing::Flat(network),
             faults: None,
         }
     }
@@ -632,16 +525,6 @@ impl<'a> ReplayEngine<'a> {
         self.objects
     }
 
-    /// The network model pricing this engine's WAN traffic.
-    pub fn network(&self) -> &dyn NetworkModel {
-        self.network
-    }
-
-    /// The fault plan governing this engine's WAN transfers, if any.
-    pub fn faults(&self) -> Option<&FaultPlan<'a>> {
-        self.faults.as_ref()
-    }
-
     /// The policy-visible access for one object slice. `yield_bytes` is
     /// the raw delivered result — yield is a property of the query, not
     /// of the network — while `fetch_cost` is priced by the object's
@@ -656,19 +539,20 @@ impl<'a> ReplayEngine<'a> {
             time,
             yield_bytes: raw_yield,
             size: info.size,
-            fetch_cost: self.network.price(info.server, info.fetch_cost),
+            fetch_cost: self.pricing.fetch_suffix(0, info.server, info.fetch_cost),
         }
     }
 
-    /// Serve one query through `policy`, emitting events to `observers`.
-    /// This (via [`CostEvent`] construction) is the only decision→cost
-    /// conversion site in the crate.
+    /// Serve one query through `tiers`, one policy per priced tier,
+    /// bottom-up (a flat network takes one), emitting events to
+    /// `observers`: every slice of [`decompose`] goes through the tier
+    /// walk.
     pub fn serve_query(
         &self,
         index: usize,
         time: Tick,
         query: &TraceQuery,
-        policy: &mut dyn CachePolicy,
+        tiers: &mut [&mut dyn CachePolicy],
         observers: &mut [&mut dyn Observer],
     ) {
         // Partition is idempotent, so replaying query-by-query through
@@ -677,86 +561,29 @@ impl<'a> ReplayEngine<'a> {
         for obs in observers.iter_mut() {
             obs.on_query_start(index, query);
         }
-        // Iterate the query's slices directly (the allocation-free
-        // equivalent of [`decompose`]) — this loop runs once per access
-        // over the whole replay, so it stays lean.
-        match self.objects.granularity() {
-            Granularity::Table => {
-                for &(t, raw_yield) in &query.table_yields {
-                    if let Ok(object) = self.objects.object_for_table(t) {
-                        self.serve_slice(
-                            index,
-                            time,
-                            object,
-                            raw_yield,
-                            policy,
-                            observers,
-                            access_count,
-                        );
+        for (object, raw_yield) in decompose(query, self.objects) {
+            let info = self.objects.info(object);
+            let (server, fetch) = (info.server, info.fetch_cost);
+            serve_slice_tiered(
+                index,
+                time,
+                object,
+                server,
+                raw_yield,
+                info.size,
+                tiers,
+                self.faults.as_ref(),
+                |l| self.pricing.link_price(l, server, raw_yield),
+                |t| self.pricing.fetch_suffix(t, server, fetch),
+                |event| {
+                    for obs in observers.iter_mut().take(access_count) {
+                        obs.on_access(event);
                     }
-                }
-            }
-            Granularity::Column => {
-                for &(c, raw_yield) in &query.column_yields {
-                    if let Ok(object) = self.objects.object_for_column(c) {
-                        self.serve_slice(
-                            index,
-                            time,
-                            object,
-                            raw_yield,
-                            policy,
-                            observers,
-                            access_count,
-                        );
-                    }
-                }
-            }
+                },
+            );
         }
         for obs in observers.iter_mut() {
             obs.on_query_end(index, query);
-        }
-    }
-
-    /// Serve one object slice: price the access, ask the policy, emit the
-    /// event. Delegates to [`slice_event`], the single decision→cost
-    /// conversion site. Only the first `access_count` observers (the
-    /// access-wanting prefix established by the caller's partition) see
-    /// the event.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_slice(
-        &self,
-        index: usize,
-        time: Tick,
-        object: ObjectId,
-        raw_yield: Bytes,
-        policy: &mut dyn CachePolicy,
-        observers: &mut [&mut dyn Observer],
-        access_count: usize,
-    ) {
-        let info = self.objects.info(object);
-        let server = info.server;
-        // Policy view: raw yield, priced fetch (see [`Self::access_for`]).
-        let access = Access {
-            object,
-            time,
-            yield_bytes: raw_yield,
-            size: info.size,
-            fetch_cost: self.network.price(server, info.fetch_cost),
-        };
-        let decision = policy.on_access(&access);
-        let event = slice_event(
-            index,
-            time,
-            raw_yield,
-            server,
-            &access,
-            &decision,
-            &*policy,
-            self.faults.as_ref(),
-            || self.network.price(server, raw_yield),
-        );
-        for obs in observers.iter_mut().take(access_count) {
-            obs.on_access(&event);
         }
     }
 
@@ -778,37 +605,15 @@ impl<'a> ReplayEngine<'a> {
         }
         for (object, raw_yield) in decompose(query, self.objects) {
             let server = self.objects.info(object).server;
-            let mut event = CostEvent {
-                query: index,
-                object,
-                server,
-                tier: 0,
-                access: None,
-                delivered: raw_yield,
-                bypass_served: Bytes::ZERO,
-                bypass_cost: Bytes::ZERO,
-                fetch_cost: Bytes::ZERO,
-                relay_cost: Bytes::ZERO,
-                cache_served: Bytes::ZERO,
-                retried_bytes: Bytes::ZERO,
-                failed_bytes: Bytes::ZERO,
-                hits: 0,
-                bypasses: 0,
-                loads: 0,
-                evictions: 0,
-                retries: 0,
-                failed: 0,
-                degraded: 0,
-                decision: None,
-                policy: None,
-            };
+            let mut event = CostEvent::new(index, object, server, 0, None, None, None);
+            event.delivered = raw_yield;
             if hit {
                 event.hits = 1;
                 event.cache_served = raw_yield;
             } else {
                 event.bypasses = 1;
                 event.bypass_served = raw_yield;
-                event.bypass_cost = self.network.price(server, raw_yield);
+                event.bypass_cost = self.pricing.link_price(0, server, raw_yield);
             }
             for obs in observers.iter_mut().take(access_count) {
                 obs.on_access(&event);
@@ -820,21 +625,32 @@ impl<'a> ReplayEngine<'a> {
     }
 
     /// Replay a whole trace: every query through [`Self::serve_query`]
-    /// (the query index is the policy clock), then `finish` on every
-    /// observer with the policy attached. This is the flat uncompiled
-    /// oracle; sessions replay through the chunked kernel instead.
+    /// on the one-tier stack `policy` (the query index is the policy
+    /// clock), then `finish` on every observer with the policy attached.
+    /// This is the flat uncompiled oracle; sessions replay through the
+    /// chunked kernel instead.
     pub fn replay(
         &self,
         trace: &Trace,
         policy: &mut dyn CachePolicy,
         observers: &mut [&mut dyn Observer],
     ) {
-        for (i, q) in trace.queries.iter().enumerate() {
-            self.serve_query(i, Tick::new(i as u64), q, policy, observers);
-        }
+        self.replay_stack(trace, &mut [&mut *policy], observers);
         let policy: &dyn CachePolicy = policy;
         for obs in observers.iter_mut() {
             obs.finish(Some(policy));
+        }
+    }
+
+    /// The per-query loop both oracles share, without `finish`.
+    fn replay_stack(
+        &self,
+        trace: &Trace,
+        tiers: &mut [&mut dyn CachePolicy],
+        observers: &mut [&mut dyn Observer],
+    ) {
+        for (i, q) in trace.queries.iter().enumerate() {
+            self.serve_query(i, Tick::new(i as u64), q, tiers, observers);
         }
     }
 }
@@ -991,10 +807,11 @@ impl CostObserver {
     }
 
     /// Settle one fault-free, single-tier decision straight into the
-    /// window: the report sink's specialization of `slice_event` +
-    /// [`Self::absorb`]. Every field written here sums exactly what that
-    /// pair would add for a fault-free event, in the same order, so the
-    /// report stays bit-identical (the equivalence suites pin it).
+    /// window: the kernel's report-only shortcut past
+    /// [`serve_slice_tiered`] + [`Self::absorb`]. Every field written
+    /// here sums exactly what that pair would add for a fault-free
+    /// one-tier event, in the same order, so the report stays
+    /// bit-identical (the equivalence suites pin it).
     pub(crate) fn settle(&mut self, slice: &CompiledSlice, decision: &Decision) {
         let w = &mut self.window;
         w.delivered += slice.raw_yield;
@@ -1782,5 +1599,196 @@ mod tests {
         if report.failed_queries > FlightRecorder::MAX_POSTMORTEMS as u64 {
             assert!(!recorder.warnings().is_empty());
         }
+    }
+
+    /// A policy that answers every access with one fixed decision.
+    struct Scripted(Decision);
+
+    impl CachePolicy for Scripted {
+        fn name(&self) -> &'static str {
+            "Scripted"
+        }
+        fn on_access(&mut self, _: &Access) -> Decision {
+            self.0.clone()
+        }
+        fn contains(&self, _: ObjectId) -> bool {
+            false
+        }
+        fn used(&self) -> Bytes {
+            Bytes::ZERO
+        }
+        fn capacity(&self) -> Bytes {
+            Bytes::ZERO
+        }
+        fn cached_objects(&self) -> Vec<ObjectId> {
+            Vec::new()
+        }
+    }
+
+    /// A fault model with one outcome for every attempt on every link.
+    struct Always(crate::faults::FetchOutcome);
+
+    impl crate::faults::FaultModel for Always {
+        fn name(&self) -> &str {
+            "always"
+        }
+        fn outcome(&self, _: &crate::faults::FetchAttempt) -> crate::faults::FetchOutcome {
+            self.0
+        }
+    }
+
+    /// The nonzero fields of one event, as `t<tier> key=value ...`.
+    fn describe(e: &CostEvent<'_>) -> String {
+        let fields = [
+            ("hit", e.hits),
+            ("bypass", e.bypasses),
+            ("load", e.loads),
+            ("evicted", e.evictions),
+            ("delivered", e.delivered.raw()),
+            ("cache", e.cache_served.raw()),
+            ("served", e.bypass_served.raw()),
+            ("D_S", e.bypass_cost.raw()),
+            ("D_L", e.fetch_cost.raw()),
+            ("relay", e.relay_cost.raw()),
+            ("retries", e.retries),
+            ("retried", e.retried_bytes.raw()),
+            ("failed", e.failed),
+            ("failed_bytes", e.failed_bytes.raw()),
+            ("degraded", e.degraded),
+            ("f_i", e.access.map_or(0, |a| a.fetch_cost.raw())),
+        ];
+        let mut out = format!("t{}", e.tier);
+        for (key, value) in fields.into_iter().filter(|&(_, v)| v > 0) {
+            out.push_str(&format!(" {key}={value}"));
+        }
+        out
+    }
+
+    /// The tier walk's hop accounting, against hand-computed prices
+    /// (DESIGN.md §15.2). Kernel and oracles both run the walk, so the
+    /// equivalence suites cannot catch a pricing slip inside it.
+    #[test]
+    fn tier_walk_prices_each_hop() {
+        use crate::faults::{DegradationPolicy, FetchOutcome, RetryPolicy};
+        // Link l prices the 50-byte yield at YIELD[l] and the object's
+        // fetch at FETCH[l]; a tier's buy price is the fetch suffix.
+        const YIELD: [u64; 3] = [100, 30, 7];
+        const FETCH: [u64; 3] = [1000, 300, 70];
+        let load = || Decision::Load {
+            evictions: vec![ObjectId::new(1), ObjectId::new(2)].into(),
+        };
+        let fail = Always(FetchOutcome::Failed);
+        let spike = Always(FetchOutcome::Delivered {
+            cost_multiplier: 2.0,
+        });
+        let walk = |decisions: Vec<Decision>, faults: Option<FaultPlan<'_>>| -> Vec<String> {
+            let depth = decisions.len();
+            let mut policies: Vec<Scripted> = decisions.into_iter().map(Scripted).collect();
+            let mut tiers: Vec<&mut dyn CachePolicy> = policies
+                .iter_mut()
+                .map(|p| p as &mut dyn CachePolicy)
+                .collect();
+            let mut events = Vec::new();
+            serve_slice_tiered(
+                3,
+                Tick::new(3),
+                ObjectId::new(9),
+                ServerId::new(0),
+                Bytes::new(50),
+                Bytes::new(500),
+                &mut tiers,
+                faults.as_ref(),
+                |l| Bytes::new(YIELD[l]),
+                |t| Bytes::new(FETCH[t..depth].iter().sum()),
+                |e| events.push(describe(e)),
+            );
+            events
+        };
+        let plan = |model, attempts, degradation| FaultPlan {
+            model,
+            retry: RetryPolicy::new(attempts, 1),
+            degradation,
+        };
+        use Decision::{Bypass, Hit};
+        // One tier: the paper's flat rule.
+        assert_eq!(
+            walk(vec![Hit], None),
+            ["t0 hit=1 delivered=50 cache=50 f_i=1000"]
+        );
+        assert_eq!(
+            walk(vec![Bypass], None),
+            ["t0 bypass=1 delivered=50 served=50 D_S=100 f_i=1000"]
+        );
+        assert_eq!(
+            walk(vec![load()], None),
+            ["t0 load=1 evicted=2 delivered=50 cache=50 D_L=1000 f_i=1000"]
+        );
+        // Three tiers: inner bypasses relay over their own link; the
+        // resolving tier prices the rest of the path.
+        assert_eq!(
+            walk(vec![Bypass, Hit, Hit], None),
+            [
+                "t0 bypass=1 relay=100 f_i=1370",
+                "t1 hit=1 delivered=50 cache=50 f_i=370"
+            ]
+        );
+        assert_eq!(
+            walk(vec![Bypass, load(), Hit], None),
+            [
+                "t0 bypass=1 relay=100 f_i=1370",
+                "t1 load=1 evicted=2 delivered=50 cache=50 D_L=370 f_i=370"
+            ]
+        );
+        assert_eq!(
+            walk(vec![Bypass, Bypass, Bypass], None),
+            [
+                "t0 bypass=1 relay=100 f_i=1370",
+                "t1 bypass=1 relay=30 f_i=370",
+                "t2 bypass=1 delivered=50 served=50 D_S=7 f_i=70"
+            ]
+        );
+        // A spike multiplies every link the transfer crosses: one link
+        // for a tier-1 hit, three for an origin bypass.
+        let spiked = plan(&spike, 1, DegradationPolicy::ServeStale);
+        assert_eq!(
+            walk(vec![Bypass, Hit, Hit], Some(spiked)),
+            [
+                "t0 bypass=1 relay=200 f_i=1370",
+                "t1 hit=1 delivered=50 cache=50 f_i=370"
+            ]
+        );
+        assert_eq!(
+            walk(vec![Bypass, Bypass, Bypass], Some(spiked)),
+            [
+                "t0 bypass=1 relay=800 f_i=1370",
+                "t1 bypass=1 relay=240 f_i=370",
+                "t2 bypass=1 delivered=50 served=50 D_S=56 f_i=70"
+            ]
+        );
+        // Exhausted retries: every attempt wastes the nominal path
+        // (100 + 30 + 7 for the origin bypass, 100 + 370 for the tier-1
+        // load), no link carries the slice, and the resolving tier
+        // degrades or fails. A tier-0 hit crosses no link at all.
+        let stale = plan(&fail, 2, DegradationPolicy::ServeStale);
+        assert_eq!(
+            walk(vec![Bypass, Bypass, Bypass], Some(stale)),
+            [
+                "t0 bypass=1 f_i=1370",
+                "t1 bypass=1 f_i=370",
+                "t2 bypass=1 delivered=50 cache=50 retries=2 retried=274 degraded=1 f_i=70"
+            ]
+        );
+        let failing = plan(&fail, 1, DegradationPolicy::Fail);
+        assert_eq!(
+            walk(vec![Bypass, load(), Hit], Some(failing)),
+            [
+                "t0 bypass=1 f_i=1370",
+                "t1 load=1 evicted=2 retries=1 retried=470 failed=1 failed_bytes=50 f_i=370"
+            ]
+        );
+        assert_eq!(
+            walk(vec![Hit, Hit], Some(failing)),
+            ["t0 hit=1 delivered=50 cache=50 f_i=1300"]
+        );
     }
 }

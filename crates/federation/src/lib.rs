@@ -20,10 +20,12 @@
 //!   and [`compiled::CompiledTrace`], a whole trace compiled as one
 //!   chunk (what a sweep shares across its grid).
 //! * [`engine`] — the event model: [`engine::CostEvent`]s that
-//!   composable [`engine::Observer`]s consume, the decision→cost
-//!   conversions, and the per-query [`engine::ReplayEngine`] the
-//!   mediator serves through; with [`engine::replay_tiered`] it is the
-//!   uncompiled oracle the equivalence suites hold the kernel to.
+//!   composable [`engine::Observer`]s consume, the one decision→cost
+//!   conversion (the tier walk, of which a flat network is the
+//!   one-tier case), and the per-query [`engine::ReplayEngine`] the
+//!   mediator serves through; as [`engine::ReplayEngine::replay`] and
+//!   [`engine::replay_tiered`] it is the uncompiled oracle the
+//!   equivalence suites hold the kernel to.
 //! * [`session`] — the one replay entry point:
 //!   [`session::ReplaySession`] is a fluent builder that configures
 //!   policy, network pricing or topology, faults, auditing, series

@@ -332,7 +332,7 @@ impl Mediator {
                 usize::try_from(self.served).unwrap_or(usize::MAX),
                 self.clock,
                 tq,
-                &mut self.policy,
+                &mut [&mut self.policy as &mut dyn CachePolicy],
                 &mut observers,
             );
         }

@@ -318,6 +318,43 @@ impl Topology {
     }
 }
 
+/// How a replay prices WAN traffic: a flat per-server network, which is
+/// a one-tier stack whose only link is the network, or a tiered
+/// topology. Both answer the same two questions the tier walk asks.
+#[derive(Clone, Copy)]
+pub(crate) enum Pricing<'a> {
+    Flat(&'a dyn NetworkModel),
+    Tiered(&'a Topology),
+}
+
+impl Pricing<'_> {
+    /// Caching tiers priced (1 on a flat network).
+    pub(crate) fn depth(&self) -> usize {
+        match self {
+            Pricing::Flat(_) => 1,
+            Pricing::Tiered(topology) => topology.depth(),
+        }
+    }
+
+    /// [`Topology::link_price`]; a flat network's only link is link 0.
+    pub(crate) fn link_price(&self, link: usize, server: ServerId, bytes: Bytes) -> Bytes {
+        match self {
+            Pricing::Flat(network) if link == 0 => network.price(server, bytes),
+            Pricing::Flat(_) => Bytes::ZERO,
+            Pricing::Tiered(topology) => topology.link_price(link, server, bytes),
+        }
+    }
+
+    /// [`Topology::fetch_suffix`]; on a flat network the suffix above
+    /// tier 0 is its one link.
+    pub(crate) fn fetch_suffix(&self, tier: usize, server: ServerId, bytes: Bytes) -> Bytes {
+        match self {
+            Pricing::Flat(_) => self.link_price(tier, server, bytes),
+            Pricing::Tiered(topology) => topology.fetch_suffix(tier, server, bytes),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

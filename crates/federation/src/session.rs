@@ -46,8 +46,7 @@ use crate::network::{NetworkModel, Topology};
 use crate::policies::{build_policy, PolicyKind};
 use crate::simulator::{debug_assert_audit, Replay};
 use crate::stream::{
-    close_out, fan_out, tier_audits, ChunkCompiler, Feed, Lane, ReportSink, ShardObserve,
-    DEFAULT_CHUNK,
+    close_out, fan_out, tier_audits, ChunkCompiler, Feed, Lane, ReportSink, DEFAULT_CHUNK,
 };
 use crate::sweep::{SweepOptions, SweepPoint};
 use byc_catalog::ObjectCatalog;
@@ -78,7 +77,6 @@ pub struct ReplaySession<'a> {
     topology: Option<&'a Topology>,
     tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
     sharded: Vec<&'a mut ShardedPolicy>,
-    shard_observe: Option<ShardObserve<'a>>,
     policy: Option<&'a mut dyn CachePolicy>,
     observers: Vec<&'a mut dyn Observer>,
     flight_recorder: Option<usize>,
@@ -152,7 +150,6 @@ impl<'a> ReplaySession<'a> {
             topology: None,
             tier_policies: Vec::new(),
             sharded: Vec::new(),
-            shard_observe: None,
             policy: None,
             observers: Vec::new(),
             flight_recorder: None,
@@ -201,26 +198,12 @@ impl<'a> ReplaySession<'a> {
     /// fixed shard order, so the report is bit-identical to driving the
     /// same sharded policy sequentially — but not to an unsharded
     /// policy, whose capacity is not split. Incompatible with
-    /// `.policy()`/`.tier_policy()` and with whole-stream observers
-    /// (`.observe()`, `.series()`, `.flight_recorder()`); per-shard
-    /// observers attach via [`Self::shard_observe`].
+    /// `.policy()`/`.tier_policy()` and with observers (`.observe()`,
+    /// `.series()`, `.flight_recorder()`); only the audit rides each
+    /// shard's worker.
     #[must_use]
     pub fn shards(mut self, sharded: &'a mut ShardedPolicy) -> Self {
         self.sharded.push(sharded);
-        self
-    }
-
-    /// Attach one observer per shard to a sharded replay: `make(shard)`
-    /// is called per shard (in shard order, on the calling thread); the
-    /// observer rides that shard's worker, sees its slice events, and
-    /// is finished against the shard's site-tier policy. Warnings from
-    /// *all* shards aggregate into [`Replay::warnings`] in shard order.
-    #[must_use]
-    pub fn shard_observe(
-        mut self,
-        make: &'a dyn Fn(usize) -> Box<dyn Observer + Send + 'a>,
-    ) -> Self {
-        self.shard_observe = Some(make);
         self
     }
 
@@ -376,7 +359,6 @@ impl<'a> ReplaySession<'a> {
             topology,
             tier_policies,
             sharded,
-            shard_observe,
             policy,
             mut observers,
             flight_recorder,
@@ -418,21 +400,13 @@ impl<'a> ReplaySession<'a> {
                     .first()
                     .map(|s| s.name().to_string())
                     .unwrap_or_default();
-                let outcome = fan_out(
-                    feed,
-                    &mut compiler,
-                    &mut tiers,
-                    label,
-                    faults,
-                    audit,
-                    shard_observe,
-                )?;
+                let outcome = fan_out(feed, &mut compiler, &mut tiers, label, faults, audit)?;
                 debug_assert!(outcome.report.conserves_delivery());
                 return Ok(Replay {
                     report: outcome.report,
                     series: Vec::new(),
                     audit: outcome.audit,
-                    warnings: outcome.warnings,
+                    warnings: Vec::new(),
                     postmortems: Vec::new(),
                 });
             }
@@ -726,8 +700,8 @@ fn validate<'a>(
         }
         if whole_stream {
             return Err(Error::InvalidConfig(
-                "sharded replay takes per-shard observers via .shard_observe(...); \
-                 whole-stream observers (.observe/.series/.flight_recorder) don't apply"
+                "sharded replay merges per-shard state; whole-stream observers \
+                 (.observe/.series/.flight_recorder) need an unsharded replay"
                     .into(),
             ));
         }

@@ -15,14 +15,14 @@
 //!    sweep's whole trace compiled once up front.
 //! 2. **Walk the chunk.** `CompiledChunk::replay` is the one loop: per query it
 //!    sets the virtual clock, per slice it applies the shard filter and
-//!    resolves the slice through the policy stack, and it emits into a
-//!    `Sink` fixed at compile time. A one-tier stack (a flat network,
-//!    or a one-tier topology) takes the flat conversion; a deeper one
-//!    takes the tier walk. The report sink accumulates the
-//!    [`CostReport`]'s window and settles fault-free one-tier decisions
-//!    in place instead of building an event. The observer sink
-//!    dispatches events to `&mut dyn Observer` after partitioning out
-//!    the query-boundary-only observers.
+//!    resolves the slice through the tier walk, and it emits into a
+//!    `Sink` fixed at compile time. The report sink accumulates the
+//!    [`CostReport`]'s window. The observer sink also dispatches events
+//!    to `&mut dyn Observer` after partitioning out the
+//!    query-boundary-only observers. One lane skips the walk: on a
+//!    one-tier stack (a flat network, or a one-tier topology) with no
+//!    fault layer and no observer that wants slice events, each
+//!    decision settles straight into the report's window.
 //! 3. **Fan out (sharded only).** A [`byc_core::ShardedPolicy`]
 //!    partitions policy state by object-id range. One scoped worker per
 //!    shard runs the same kernel over every chunk, fed over a bounded
@@ -40,15 +40,14 @@
 use crate::accounting::CostReport;
 use crate::compiled::CompiledSlice;
 use crate::engine::{
-    partition_access_observers, serve_slice_tiered, slice_event, AuditObserver, CostEvent,
-    CostObserver, Observer, QueryWindow,
+    partition_access_observers, serve_slice_tiered, AuditObserver, CostEvent, CostObserver,
+    Observer, QueryWindow,
 };
 use crate::faults::FaultPlan;
-use crate::network::{NetworkModel, Topology};
+use crate::network::{NetworkModel, Pricing, Topology};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_core::access::Access;
 use byc_core::audit::AuditReport;
-use byc_core::policy::{CachePolicy, Decision};
+use byc_core::policy::CachePolicy;
 use byc_core::shard::{ShardPlan, ShardedPolicy};
 use byc_types::{Bytes, ColumnId, ObjectId, Result, ServerId, TableId, Tick};
 use byc_workload::{Trace, TraceQuery, TraceReader};
@@ -65,13 +64,6 @@ pub(crate) const DEFAULT_CHUNK: usize = 4096;
 /// blocks: the backpressure bound that keeps sharded replay in constant
 /// memory.
 const CHANNEL_DEPTH: usize = 2;
-
-/// How the compiler prices WAN traffic: a flat network (one link per
-/// home server) or a tiered topology (one price per link per slice).
-enum Pricing<'a> {
-    Flat(&'a dyn NetworkModel),
-    Tiered(&'a Topology),
-}
 
 /// One memoized table/column resolution: computed on first sight,
 /// reused for every later slice of the same reference.
@@ -188,14 +180,6 @@ impl<'a> ChunkCompiler<'a> {
         self.objects.granularity().label()
     }
 
-    /// Caching tiers priced (1 on a flat network).
-    fn depth(&self) -> usize {
-        match self.pricing {
-            Pricing::Flat(_) => 1,
-            Pricing::Tiered(topology) => topology.depth(),
-        }
-    }
-
     /// Compile the next run of queries into a chunk arena. References
     /// that do not resolve are skipped, matching
     /// [`crate::engine::decompose`] slice for slice.
@@ -204,7 +188,7 @@ impl<'a> ChunkCompiler<'a> {
             first_query: self.next_query,
             slices: Vec::new(),
             offsets: Vec::with_capacity(queries.len().saturating_add(1)),
-            upper: self.depth().saturating_sub(1),
+            upper: self.pricing.depth().saturating_sub(1),
             upper_yields: Vec::new(),
             upper_fetches: Vec::new(),
         };
@@ -264,17 +248,11 @@ impl<'a> ChunkCompiler<'a> {
     fn resolve(&mut self, object: ObjectId) -> Slot {
         let info = self.objects.info(object);
         let fetch_at = self.fetches.len();
-        match self.pricing {
-            Pricing::Flat(network) => {
-                self.fetches
-                    .push(network.price(info.server, info.fetch_cost));
-            }
-            Pricing::Tiered(topology) => {
-                for tier in 0..topology.depth() {
-                    self.fetches
-                        .push(topology.fetch_suffix(tier, info.server, info.fetch_cost));
-                }
-            }
+        for tier in 0..self.pricing.depth() {
+            self.fetches.push(
+                self.pricing
+                    .fetch_suffix(tier, info.server, info.fetch_cost),
+            );
         }
         Slot::Resolved {
             object,
@@ -303,25 +281,19 @@ impl<'a> ChunkCompiler<'a> {
                 .copied()
                 .unwrap_or(Bytes::ZERO)
         };
-        let priced_yield = match self.pricing {
-            Pricing::Flat(network) => network.price(server, raw_yield),
-            Pricing::Tiered(topology) => {
-                // Exactly `upper` entries per row, so a slice's rows stay
-                // aligned with its arena index.
-                for tier in 1..=chunk.upper {
-                    chunk
-                        .upper_yields
-                        .push(topology.link_price(tier, server, raw_yield));
-                    chunk.upper_fetches.push(fetch(tier));
-                }
-                topology.link_price(0, server, raw_yield)
-            }
-        };
+        // Exactly `upper` entries per row (none on one tier), so a
+        // slice's rows stay aligned with its arena index.
+        for tier in 1..=chunk.upper {
+            chunk
+                .upper_yields
+                .push(self.pricing.link_price(tier, server, raw_yield));
+            chunk.upper_fetches.push(fetch(tier));
+        }
         chunk.slices.push(CompiledSlice {
             object,
             server,
             raw_yield,
-            priced_yield,
+            priced_yield: self.pricing.link_price(0, server, raw_yield),
             size,
             priced_fetch: fetch(0),
         });
@@ -354,88 +326,9 @@ trait Sink {
     /// The query's last slice was served.
     fn end_query(&mut self, index: usize, query: Option<&TraceQuery>);
 
-    /// A decision on a one-tier stack. By default it becomes the flat
-    /// [`slice_event`]; the report sink overrides the fault-free case
-    /// to settle the decision split in place.
-    #[allow(clippy::too_many_arguments)]
-    fn settle(
-        &mut self,
-        index: usize,
-        slice: &CompiledSlice,
-        access: &Access,
-        decision: &Decision,
-        policy: &dyn CachePolicy,
-        faults: Option<&FaultPlan<'_>>,
-    ) {
-        self.event(&flat_event(index, slice, access, decision, policy, faults));
-    }
-}
-
-/// The flat conversion of one compiled slice's decision.
-fn flat_event<'e>(
-    index: usize,
-    slice: &CompiledSlice,
-    access: &'e Access,
-    decision: &'e Decision,
-    policy: &'e dyn CachePolicy,
-    faults: Option<&FaultPlan<'_>>,
-) -> CostEvent<'e> {
-    slice_event(
-        index,
-        access.time,
-        slice.raw_yield,
-        slice.server,
-        access,
-        decision,
-        policy,
-        faults,
-        || slice.priced_yield,
-    )
-}
-
-impl<S: Sink + ?Sized> Sink for &mut S {
-    fn start_query(&mut self, index: usize, query: Option<&TraceQuery>) {
-        (**self).start_query(index, query);
-    }
-
-    fn event(&mut self, event: &CostEvent<'_>) {
-        (**self).event(event);
-    }
-
-    fn end_query(&mut self, index: usize, query: Option<&TraceQuery>) {
-        (**self).end_query(index, query);
-    }
-
-    fn settle(
-        &mut self,
-        index: usize,
-        slice: &CompiledSlice,
-        access: &Access,
-        decision: &Decision,
-        policy: &dyn CachePolicy,
-        faults: Option<&FaultPlan<'_>>,
-    ) {
-        (**self).settle(index, slice, access, decision, policy, faults);
-    }
-}
-
-/// Both sinks see every call; a settled decision becomes one event
-/// shared by both.
-impl<A: Sink, B: Sink> Sink for (A, B) {
-    fn start_query(&mut self, index: usize, query: Option<&TraceQuery>) {
-        self.0.start_query(index, query);
-        self.1.start_query(index, query);
-    }
-
-    fn event(&mut self, event: &CostEvent<'_>) {
-        self.0.event(event);
-        self.1.event(event);
-    }
-
-    fn end_query(&mut self, index: usize, query: Option<&TraceQuery>) {
-        self.0.end_query(index, query);
-        self.1.end_query(index, query);
-    }
+    /// The report to settle decisions into in place, when nothing but
+    /// the report consumes slice events.
+    fn report_only(&mut self) -> Option<&mut CostObserver>;
 }
 
 /// The report sink: the replay's [`CostObserver`] plus, on faulted
@@ -477,28 +370,16 @@ impl Sink for ReportSink {
         self.cost.end_query();
     }
 
-    fn settle(
-        &mut self,
-        index: usize,
-        slice: &CompiledSlice,
-        access: &Access,
-        decision: &Decision,
-        policy: &dyn CachePolicy,
-        faults: Option<&FaultPlan<'_>>,
-    ) {
-        match faults {
-            None => self.cost.settle(slice, decision),
-            Some(_) => {
-                self.cost
-                    .absorb(&flat_event(index, slice, access, decision, policy, faults));
-            }
-        }
+    fn report_only(&mut self) -> Option<&mut CostObserver> {
+        Some(&mut self.cost)
     }
 }
 
-/// The observer sink: query hooks to every observer (when the query is
-/// at hand), slice events to the access-wanting prefix only.
+/// The observer sink: the report first, then query hooks to every
+/// observer (when the query is at hand) and slice events to the
+/// access-wanting prefix only.
 struct ObserverSink<'s, 'o> {
+    report: &'s mut ReportSink,
     observers: &'s mut [&'o mut dyn Observer],
     /// Length of the prefix that wants per-access events.
     access: usize,
@@ -506,6 +387,7 @@ struct ObserverSink<'s, 'o> {
 
 impl Sink for ObserverSink<'_, '_> {
     fn start_query(&mut self, index: usize, query: Option<&TraceQuery>) {
+        self.report.start_query(index, query);
         if let Some(query) = query {
             for obs in self.observers.iter_mut() {
                 obs.on_query_start(index, query);
@@ -514,17 +396,25 @@ impl Sink for ObserverSink<'_, '_> {
     }
 
     fn event(&mut self, event: &CostEvent<'_>) {
+        self.report.event(event);
         for obs in self.observers.iter_mut().take(self.access) {
             obs.on_access(event);
         }
     }
 
     fn end_query(&mut self, index: usize, query: Option<&TraceQuery>) {
+        self.report.end_query(index, query);
         if let Some(query) = query {
             for obs in self.observers.iter_mut() {
                 obs.on_query_end(index, query);
             }
         }
+    }
+
+    /// Observers that tick only on query boundaries see no slice event,
+    /// so they leave the report-only shortcut open.
+    fn report_only(&mut self) -> Option<&mut CostObserver> {
+        (self.access == 0).then_some(&mut self.report.cost)
     }
 }
 
@@ -540,7 +430,6 @@ impl CompiledChunk {
         shard: Option<(ShardPlan, usize)>,
         tiers: &mut [&mut dyn CachePolicy],
         faults: Option<&FaultPlan<'_>>,
-        scratch: &mut Vec<(Access, Decision)>,
         sink: &mut S,
     ) {
         let width = self.upper;
@@ -554,10 +443,11 @@ impl CompiledChunk {
                 if shard.is_some_and(|(plan, owner)| plan.shard_of(slice.object) != owner) {
                     continue;
                 }
-                if let [site] = &mut *tiers {
-                    let access = slice.access(time);
-                    let decision = site.on_access(&access);
-                    sink.settle(index, slice, &access, &decision, &**site, faults);
+                // The one specialization: a fault-free decision on a
+                // one-tier stack that only the report consumes settles
+                // straight into the report's window, with no event.
+                if let (Some(report), [site], None) = (sink.report_only(), &mut *tiers, faults) {
+                    report.settle(slice, &site.on_access(&slice.access(time)));
                     continue;
                 }
                 let row = at.saturating_mul(width);
@@ -586,7 +476,6 @@ impl CompiledChunk {
                         None => slice.priced_fetch,
                         Some(up) => upper_fetches.get(up).copied().unwrap_or(Bytes::ZERO),
                     },
-                    scratch,
                     |event| sink.event(event),
                 );
             }
@@ -605,7 +494,6 @@ pub(crate) struct Lane<'p, 'o> {
     observers: Vec<&'o mut dyn Observer>,
     /// Length of the observers' access-wanting prefix.
     access: usize,
-    scratch: Vec<(Access, Decision)>,
 }
 
 impl<'p, 'o> Lane<'p, 'o> {
@@ -619,7 +507,6 @@ impl<'p, 'o> Lane<'p, 'o> {
     ) -> Self {
         let access = partition_access_observers(&mut observers);
         Lane {
-            scratch: Vec::with_capacity(stack.len()),
             stack,
             shard,
             report,
@@ -635,25 +522,16 @@ impl<'p, 'o> Lane<'p, 'o> {
         queries: Option<&[TraceQuery]>,
         faults: Option<&FaultPlan<'_>>,
     ) {
-        let (stack, scratch) = (&mut self.stack, &mut self.scratch);
+        let stack = &mut self.stack;
         if self.observers.is_empty() {
-            chunk.replay(
-                queries,
-                self.shard,
-                stack,
-                faults,
-                scratch,
-                &mut self.report,
-            );
+            chunk.replay(queries, self.shard, stack, faults, &mut self.report);
         } else {
-            let mut sink = (
-                &mut self.report,
-                ObserverSink {
-                    observers: &mut self.observers,
-                    access: self.access,
-                },
-            );
-            chunk.replay(queries, self.shard, stack, faults, scratch, &mut sink);
+            let mut sink = ObserverSink {
+                report: &mut self.report,
+                observers: &mut self.observers,
+                access: self.access,
+            };
+            chunk.replay(queries, self.shard, stack, faults, &mut sink);
         }
     }
 
@@ -791,12 +669,6 @@ impl Feed<'_> {
     }
 }
 
-/// Per-shard observer factory: called once per shard (in shard order,
-/// before the workers spawn); each observer rides its shard's worker,
-/// sees that shard's slice events, and is finished against the shard's
-/// site-tier policy.
-pub(crate) type ShardObserve<'a> = &'a dyn Fn(usize) -> Box<dyn Observer + Send + 'a>;
-
 /// What one shard's worker hands back after the input channel closes.
 struct ShardOutcome {
     /// The shard's slice-event accumulator.
@@ -807,28 +679,24 @@ struct ShardOutcome {
     pairs: Vec<(u32, u32)>,
     /// Merged audit report of the shard's decision streams.
     audit: Option<AuditReport>,
-    /// The shard's observer warnings.
-    warnings: Vec<String>,
 }
 
 /// What a sharded replay produces: the merged report plus the merged
-/// audit and every shard's warnings (in shard order).
+/// audit.
 pub(crate) struct ShardedOutcome {
     pub(crate) report: CostReport,
     pub(crate) audit: Option<AuditReport>,
-    pub(crate) warnings: Vec<String>,
 }
 
 /// One shard's worker: a lane filtered to the shard, draining chunks
 /// off the channel until the producer hangs up.
-fn shard_worker<'o>(
+fn shard_worker(
     shard: (ShardPlan, usize),
     stack: Vec<&mut (dyn CachePolicy + Send + Sync)>,
     rx: Receiver<Arc<CompiledChunk>>,
     faults: Option<FaultPlan<'_>>,
     track_pairs: bool,
     mut audits: Vec<AuditObserver>,
-    mut extra: Option<Box<dyn Observer + Send + 'o>>,
 ) -> ShardOutcome {
     let stack: Vec<&mut dyn CachePolicy> = stack
         .into_iter()
@@ -836,29 +704,21 @@ fn shard_worker<'o>(
         .collect();
     let report = ReportSink::new(CostObserver::new("", "", ""), track_pairs);
     let (stack, cost, pairs) = {
-        let mut observers: Vec<&mut dyn Observer> = Vec::with_capacity(audits.len() + 1);
-        for audit in audits.iter_mut() {
-            observers.push(audit);
-        }
-        if let Some(extra) = extra.as_deref_mut() {
-            observers.push(extra);
-        }
+        let observers: Vec<&mut dyn Observer> = audits
+            .iter_mut()
+            .map(|audit| audit as &mut dyn Observer)
+            .collect();
         let mut lane = Lane::new(stack, Some(shard), report, observers);
         while let Ok(chunk) = rx.recv() {
             lane.replay(&chunk, None, faults.as_ref());
         }
         lane.into_parts()
     };
-    let mut others: Vec<&mut dyn Observer> = Vec::new();
-    if let Some(extra) = extra.as_deref_mut() {
-        others.push(extra);
-    }
-    let (audit, warnings) = close_out(&stack, audits, &mut others);
+    let (audit, _) = close_out(&stack, audits, &mut []);
     ShardOutcome {
         window: *cost.window(),
         pairs,
         audit,
-        warnings,
     }
 }
 
@@ -872,7 +732,6 @@ fn shard_worker<'o>(
 /// # Errors
 ///
 /// IO and format errors from a reader feed.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn fan_out(
     feed: Feed<'_>,
     compiler: &mut ChunkCompiler<'_>,
@@ -880,7 +739,6 @@ pub(crate) fn fan_out(
     label: String,
     faults: Option<FaultPlan<'_>>,
     audit: bool,
-    observe: Option<ShardObserve<'_>>,
 ) -> Result<ShardedOutcome> {
     let plan = match tiers.first() {
         Some(site) => site.plan(),
@@ -908,9 +766,8 @@ pub(crate) fn fan_out(
             } else {
                 Vec::new()
             };
-            let extra = observe.map(|make| make(shard));
             handles.push(scope.spawn(move || {
-                shard_worker((plan, shard), stack, rx, faults, track_pairs, audits, extra)
+                shard_worker((plan, shard), stack, rx, faults, track_pairs, audits)
             }));
             txs.push(tx);
         }
@@ -937,8 +794,7 @@ pub(crate) fn fan_out(
     ))
 }
 
-/// Merge per-shard outcomes — windows, warnings, audits in fixed shard
-/// order; fault pairs element-wise per query, then folded with the
+/// Merge per-shard outcomes — windows and audits in fixed shard order; fault pairs element-wise per query, then folded with the
 /// failed-wins-over-degraded rule [`CostObserver`] applies per query —
 /// into the final report.
 fn merge_outcomes(
@@ -967,11 +823,9 @@ fn merge_outcomes(
             }
         }
     }
-    let mut warnings = Vec::new();
     let mut audits = Vec::new();
     for outcome in outcomes {
         window.merge(&outcome.window);
-        warnings.extend(outcome.warnings);
         audits.extend(outcome.audit);
     }
     ShardedOutcome {
@@ -986,7 +840,6 @@ fn merge_outcomes(
         )
         .into_report(),
         audit: merge_audits(audits.into_iter()),
-        warnings,
     }
 }
 

@@ -27,9 +27,8 @@ use byc_catalog::{Granularity, ObjectCatalog};
 use byc_core::policy::CachePolicy;
 use byc_core::shard::ShardPlan;
 use byc_federation::{
-    build_policy, build_sharded, CostEvent, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
-    NetworkModel, Observer, PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Topology,
-    Uniform,
+    build_policy, build_sharded, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
+    NetworkModel, PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Topology, Uniform,
 };
 use byc_types::Bytes;
 use byc_workload::{generate, Trace, TraceReader, WorkloadConfig, WorkloadStats};
@@ -440,64 +439,6 @@ fn chunk_size_edges_replay_identically() {
     assert_eq!(report.queries, 0);
     assert_eq!(report.total_cost(), Bytes::ZERO);
     assert!(report.conserves_delivery());
-}
-
-/// An observer that only counts accesses and reports one warning, to
-/// prove per-shard warnings all surface.
-struct CountingObserver {
-    shard: usize,
-    accesses: u64,
-}
-
-impl Observer for CountingObserver {
-    fn on_access(&mut self, _event: &CostEvent<'_>) {
-        self.accesses += 1;
-    }
-
-    fn warnings(&mut self) -> Vec<String> {
-        vec![format!(
-            "shard {} saw {} accesses",
-            self.shard, self.accesses
-        )]
-    }
-}
-
-/// Every shard's observer warnings aggregate into the replay — not just
-/// the first shard's — in shard order.
-#[test]
-fn per_shard_warnings_aggregate_across_all_shards() {
-    let (trace, objects, stats) = smoke(41, 1, 120);
-    let shards = 3;
-    let plan = ShardPlan::new(shards, objects.len());
-    let capacity = objects.total_size().scale(0.25);
-    let mut sharded = build_sharded(PolicyKind::Gds, plan, capacity, &stats.demands, 41).unwrap();
-    let make = |shard: usize| -> Box<dyn Observer + Send + '_> {
-        Box::new(CountingObserver { shard, accesses: 0 })
-    };
-    let replay = ReplaySession::new(&trace, &objects)
-        .shards(&mut sharded)
-        .shard_observe(&make)
-        .unaudited()
-        .run()
-        .unwrap();
-    assert_eq!(replay.warnings.len(), shards, "{:?}", replay.warnings);
-    for (shard, warning) in replay.warnings.iter().enumerate() {
-        assert!(
-            warning.starts_with(&format!("shard {shard} saw ")),
-            "warnings out of shard order: {:?}",
-            replay.warnings
-        );
-    }
-    // The shards together saw every slice exactly once.
-    let total: u64 = replay
-        .warnings
-        .iter()
-        .filter_map(|w| w.rsplit(' ').nth(1).and_then(|n| n.parse::<u64>().ok()))
-        .sum();
-    assert_eq!(
-        total,
-        replay.report.hits + replay.report.bypasses + replay.report.loads
-    );
 }
 
 /// Sharding is not invisible against an *unsharded* policy: each shard

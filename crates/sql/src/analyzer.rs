@@ -265,7 +265,8 @@ pub fn analyze(catalog: &Catalog, query: &Query) -> Result<ResolvedQuery> {
         .projection
         .iter()
         .filter(|i| matches!(i, SelectItem::Aggregate { .. }))
-        .count() as u32;
+        .count();
+    let aggregate_items = u32::try_from(aggregate_items).unwrap_or(u32::MAX);
 
     Ok(ResolvedQuery {
         tables: accesses,

@@ -202,6 +202,9 @@ pub enum Value {
 }
 
 impl fmt::Display for Value {
+    // The cast is exact: it runs only on integral values below 1e15,
+    // well inside the 2^53 range every f64 integer keeps.
+    #[allow(clippy::cast_possible_truncation)]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Number(n) => {

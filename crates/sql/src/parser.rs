@@ -107,7 +107,14 @@ impl Parser {
         self.expect_kw(Keyword::Select, "SELECT")?;
         let top = if self.eat_kw(Keyword::Top) {
             match self.bump() {
-                TokenKind::Number(n) if n >= 0.0 && n.fract() == 0.0 => Some(n as u64),
+                TokenKind::Number(n) if n >= 0.0 && n.fract() == 0.0 => {
+                    // A non-negative integral count; `as` saturates one
+                    // beyond u64::MAX (the only float-to-int conversion
+                    // Rust offers).
+                    #[allow(clippy::cast_possible_truncation)]
+                    let top = n as u64;
+                    Some(top)
+                }
                 _ => return Err(self.error("expected non-negative integer after TOP".into())),
             }
         } else {
