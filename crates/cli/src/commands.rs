@@ -55,8 +55,8 @@ pub enum Command {
         cache_fraction: f64,
         /// Stream per-decision NDJSON events here (None = no event log).
         trace_events: Option<PathBuf>,
-        /// Shard the policy over N object-id ranges and replay the
-        /// shards on parallel workers (None = unsharded).
+        /// Shard the policy over N object-id ranges, each caching in
+        /// its own share of the cache (None = unsharded).
         shards: Option<usize>,
     },
     /// Sweep cache sizes for every policy in the roster.
@@ -541,15 +541,14 @@ REPLAY:   every replay compiles the trace in chunks (catalog resolution
           chunk, so a 100M-query file replays in constant memory —
           except under --policy static, whose offline plan needs the
           whole trace's demand profile, so the file loads into memory.
-          --shards N splits the object-id space into N ranges, runs one
-          policy instance per range on its own worker thread, and merges
-          the per-shard reports deterministically. Each shard caches in
-          its own share of the cache, so a sharded answer is NOT
+          A trace file decodes on a second thread, one chunk ahead of
+          the replay. --shards N splits the object-id space into N
+          ranges with one policy instance per range; each shard caches
+          in its own share of the cache, so a sharded answer is NOT
           comparable with an unsharded one. N is at most the number of
-          cache objects: a shard beyond that would own none. Sharded
-          replays keep the cost report and audit but not the
-          whole-stream telemetry (--trace-events/--metrics/--trace-spans/
-          --metrics-every/--flight-recorder).
+          cache objects: a shard beyond that would own none. A sharded
+          replay takes every telemetry and observability flag an
+          unsharded one does.
 
 NUMBERS:  --scale is positive and finite; --retry, --metrics-every,
           --flight-recorder and --shards are positive; every integer
@@ -1038,16 +1037,6 @@ pub fn run_command(command: Command) -> Result<String> {
                 ));
             }
             require_positive(shards, "shards")?;
-            if shards.is_some()
-                && (trace_events.is_some() || args.observed() || args.flight_recorder.is_some())
-            {
-                return Err(Error::InvalidConfig(
-                    "--shards merges per-shard replay state; whole-stream telemetry \
-                     (--trace-events/--metrics/--trace-spans/--metrics-every/\
-                     --flight-recorder) needs an unsharded replay"
-                        .into(),
-                ));
-            }
             let kind = parse_policy(&policy)?;
             // The pipeline tracer (thread lane 0) brackets the setup
             // phases; the replay loop itself is traced by a
@@ -1103,10 +1092,7 @@ pub fn run_command(command: Command) -> Result<String> {
             let mut sharded: Vec<ShardedPolicy>;
             let mut session = setup.session(&mut source);
             match shards {
-                // Every tier sharded under the same object-range plan, as
-                // the sharded replay requires. Sharded replays reject
-                // whole-stream observers, so the per-server and per-tier
-                // breakdowns ride unsharded runs only.
+                // Every tier sharded under the same object-range plan.
                 Some(n) => {
                     let plan = ShardPlan::new(n, objects.len());
                     sharded = tier_capacities
@@ -1124,17 +1110,17 @@ pub fn run_command(command: Command) -> Result<String> {
                     for p in tier_policies.iter_mut() {
                         session = session.tier_policy(p.as_mut());
                     }
-                    // The per-server table prints only with two or more
-                    // servers; a one-server run keeps the report-only lane.
-                    if objects.server_count() > 1 {
-                        session = session.observe(&mut per_server);
-                    }
-                    if setup.tiered {
-                        session = session.observe(&mut per_tier);
-                    }
-                    session = session.observe(&mut streams);
                 }
             }
+            // The per-server table prints only with two or more servers;
+            // a one-server run keeps the report-only lane.
+            if objects.server_count() > 1 {
+                session = session.observe(&mut per_server);
+            }
+            if setup.tiered {
+                session = session.observe(&mut per_tier);
+            }
+            session = session.observe(&mut streams);
             let replay = session.run()?;
             let report = &replay.report;
             let streamed = matches!(source, Source::Streamed(_));
@@ -1177,7 +1163,7 @@ pub fn run_command(command: Command) -> Result<String> {
             if let Some(n) = shards {
                 let _ = writeln!(
                     out,
-                    "sharded replay: {n} object-range shard(s), reports merged in shard order"
+                    "sharded replay: {n} object-range shard(s), each caching in its own share"
                 );
             } else if streamed {
                 let _ = writeln!(out, "streamed replay: chunked, constant-memory");
@@ -1201,9 +1187,7 @@ pub fn run_command(command: Command) -> Result<String> {
             for w in &replay.warnings {
                 let _ = writeln!(out, "warning: {w}");
             }
-            // Sharded replays carry no per-tier observer; skip the
-            // breakdown rather than print an all-zero hierarchy.
-            if setup.tiered && shards.is_none() {
+            if setup.tiered {
                 // Tiers the walk never reached still get a (zero) row, so
                 // the table always shows the whole hierarchy.
                 let topo = &setup.topology;
@@ -2831,26 +2815,63 @@ mod tests {
         }
         let out = run_command(cmd).unwrap();
         assert!(out.contains("sharded replay: 2"), "{out}");
-        // Sharded runs carry no per-tier observer; no misleading table.
-        assert!(!out.contains("per-tier breakdown"), "{out}");
+        // The per-tier observer rides sharded runs too, and its rows sum
+        // to the report like an unsharded run's.
+        assert!(out.contains("per-tier breakdown"), "{out}");
     }
 
     #[test]
     fn streaming_flag_conflicts() {
-        let mut cmd = base_run("edr");
+        // --shards composes with every telemetry and observability flag:
+        // the sharded policy rides the one replay lane, and the flags
+        // leave its report untouched.
+        let dir = std::env::temp_dir();
+        let id = std::process::id();
+        let metrics_path = dir.join(format!("byc-cli-sharded-metrics-{id}.json"));
+        let events_path = dir.join(format!("byc-cli-sharded-events-{id}.ndjson"));
+        let spans_path = dir.join(format!("byc-cli-sharded-spans-{id}.json"));
+        let sharded = || {
+            let mut cmd = base_run("edr");
+            if let Command::Run { ref mut shards, .. } = cmd {
+                *shards = Some(2);
+            }
+            cmd
+        };
+        let plain = run_command(sharded()).unwrap();
+        let mut cmd = sharded();
         if let Command::Run {
-            replay: ReplayArgs {
-                ref mut metrics, ..
-            },
-            ref mut shards,
+            replay:
+                ReplayArgs {
+                    ref mut metrics,
+                    ref mut trace_spans,
+                    ref mut metrics_every,
+                    ref mut flight_recorder,
+                    ..
+                },
+            ref mut trace_events,
             ..
         } = cmd
         {
-            *shards = Some(2);
-            *metrics = Some(std::path::PathBuf::from("m.json"));
+            *metrics = Some(metrics_path.clone());
+            *trace_spans = Some(spans_path.clone());
+            *metrics_every = Some(4096);
+            *flight_recorder = Some(4);
+            *trace_events = Some(events_path.clone());
         }
-        let err = run_command(cmd).unwrap_err();
-        assert!(err.to_string().contains("whole-stream"), "{err}");
+        let observed = run_command(cmd).unwrap();
+        let report = |out: &str| -> Vec<String> {
+            out.lines()
+                .take_while(|l| !l.starts_with("sharded replay:"))
+                .map(str::to_string)
+                .collect()
+        };
+        assert!(observed.contains("sharded replay: 2"), "{observed}");
+        assert_eq!(report(&plain), report(&observed));
+        for path in [&metrics_path, &events_path, &spans_path] {
+            let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+            assert!(len > 0, "{} was not written", path.display());
+            std::fs::remove_file(path).ok();
+        }
 
         // A file streams, except under Static: its offline plan needs the
         // whole trace's demand profile, so the file loads into memory.

@@ -1,6 +1,7 @@
 //! The policy interface: one decision per (query, object) access.
 
 use crate::access::Access;
+use crate::shard::ShardedPolicy;
 use byc_types::{Bytes, ObjectId};
 
 /// Victims fit inline in an [`Evictions`] list up to this count before it
@@ -198,6 +199,13 @@ pub trait CachePolicy {
         false
     }
 
+    /// This policy as a [`ShardedPolicy`], when it is one: its
+    /// per-shard instances are what a replay audits shard by shard.
+    /// `None` for every unpartitioned policy.
+    fn as_sharded(&self) -> Option<&ShardedPolicy> {
+        None
+    }
+
     /// Does nothing. Every policy has exactly one victim-selection rule,
     /// so there is no planning mode to switch; this method exists only so
     /// that policy wrappers which override it to forward the call still
@@ -236,6 +244,10 @@ impl<P: CachePolicy + ?Sized> CachePolicy for &mut P {
     fn invalidate(&mut self, object: ObjectId) -> bool {
         (**self).invalidate(object)
     }
+
+    fn as_sharded(&self) -> Option<&ShardedPolicy> {
+        (**self).as_sharded()
+    }
 }
 
 impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
@@ -265,6 +277,10 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
 
     fn invalidate(&mut self, object: ObjectId) -> bool {
         (**self).invalidate(object)
+    }
+
+    fn as_sharded(&self) -> Option<&ShardedPolicy> {
+        (**self).as_sharded()
     }
 
     // Forwarded so that a boxed wrapper which overrides the no-op still

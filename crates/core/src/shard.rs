@@ -7,15 +7,14 @@
 //! instance (with its own `CacheState`) per range and routes every access
 //! to the instance owning its object.
 //!
-//! Because every policy in this workspace keys its state by object id and
-//! decides each access from that per-object state plus the global clock
-//! (the query index, which is shard-independent), a sharded policy fed
-//! the full access stream produces, per shard, exactly the decisions the
-//! same instance would produce fed only its own sub-stream. That is the
-//! property the federation crate's parallel replay builds on: workers
-//! process disjoint shards concurrently, and merging their accumulators
-//! in fixed shard order reproduces the sequential report bit for bit
-//! (see DESIGN.md §17).
+//! A `ShardedPolicy` is one policy: a replay drives it like any other,
+//! in trace order on one thread. Every policy in this workspace keys its
+//! state by object id and decides each access from that per-object state
+//! plus the global clock (the query index), so each shard's instance
+//! makes exactly the decisions it would make fed only its own
+//! sub-stream — the property the replay's per-shard audit checks, one
+//! shadow model per shard against that shard's own capacity (see
+//! DESIGN.md §17).
 
 use crate::access::Access;
 use crate::policy::{CachePolicy, Decision};
@@ -112,10 +111,8 @@ impl ShardPlan {
 /// One policy instance per [`ShardPlan`] range, presented as a single
 /// [`CachePolicy`].
 ///
-/// Driven single-threaded it behaves as one policy whose cache happens to
-/// be partitioned by id range; the federation crate's sharded replay
-/// takes the instances apart ([`ShardedPolicy::shards_mut`]) and drives
-/// them from scoped worker threads instead.
+/// It behaves as one policy whose cache happens to be partitioned by id
+/// range: each shard caches in its own share of the capacity.
 pub struct ShardedPolicy {
     plan: ShardPlan,
     shards: Vec<Box<dyn CachePolicy + Send + Sync>>,
@@ -142,12 +139,6 @@ impl ShardedPolicy {
     /// The partition this policy routes by.
     pub fn plan(&self) -> ShardPlan {
         self.plan
-    }
-
-    /// The per-shard instances, in shard order, for a worker pool to
-    /// drive concurrently.
-    pub fn shards_mut(&mut self) -> &mut [Box<dyn CachePolicy + Send + Sync>] {
-        &mut self.shards
     }
 
     /// The per-shard instances, in shard order.
@@ -197,6 +188,10 @@ impl CachePolicy for ShardedPolicy {
         self.shards
             .get_mut(shard)
             .is_some_and(|s| s.invalidate(object))
+    }
+
+    fn as_sharded(&self) -> Option<&ShardedPolicy> {
+        Some(self)
     }
 }
 
@@ -302,5 +297,9 @@ mod tests {
         assert!(!sharded.shards()[0].contains(oid(7)));
         assert!(sharded.invalidate(oid(7)));
         assert!(!sharded.contains(oid(7)));
+        // Seen through the trait, it still exposes its shards.
+        let dynamic: &dyn CachePolicy = &sharded;
+        assert_eq!(dynamic.as_sharded().map(ShardedPolicy::plan), Some(plan));
+        assert!(make::lru(Bytes::new(1)).as_sharded().is_none());
     }
 }

@@ -36,6 +36,7 @@ use byc_catalog::{Granularity, ObjectCatalog};
 use byc_core::access::Access;
 use byc_core::audit::{AuditReport, DecisionAuditor};
 use byc_core::policy::{CachePolicy, Decision};
+use byc_core::shard::ShardPlan;
 use byc_types::{Bytes, ObjectId, ServerId, Tick};
 use byc_workload::{Trace, TraceQuery};
 use std::collections::{BTreeMap, VecDeque};
@@ -834,16 +835,6 @@ impl CostObserver {
         }
     }
 
-    /// Failed and degraded slices of the in-flight query.
-    pub(crate) fn query_faults(&self) -> (u64, u64) {
-        (self.failed_this_query, self.degraded_this_query)
-    }
-
-    /// The accumulated window.
-    pub(crate) fn window(&self) -> &QueryWindow {
-        &self.window
-    }
-
     /// Close a query window, folding slice faults into per-query counts
     /// (the core of `on_query_end`): a query with any failed slice
     /// surfaced an error to the client; one that only degraded still
@@ -853,26 +844,6 @@ impl CostObserver {
             self.failed_queries += 1;
         } else if self.degraded_this_query > 0 {
             self.degraded_queries += 1;
-        }
-    }
-
-    /// An observer over an already-merged window and per-query fault
-    /// rollup (the sharded replay's cross-shard merge).
-    pub(crate) fn merged(
-        policy: &str,
-        trace: &str,
-        granularity: &str,
-        queries: usize,
-        window: QueryWindow,
-        failed_queries: u64,
-        degraded_queries: u64,
-    ) -> Self {
-        CostObserver {
-            queries,
-            window,
-            failed_queries,
-            degraded_queries,
-            ..CostObserver::new(policy, trace, granularity)
         }
     }
 
@@ -985,6 +956,11 @@ pub struct AuditObserver {
     /// run one shadow model per tier (each tier's decision stream is an
     /// independent cache).
     tier: Option<u32>,
+    /// When set, only objects this shard owns are audited, against the
+    /// shard's own instance inside the tier's
+    /// [`ShardedPolicy`](byc_core::ShardedPolicy): each shard caches in
+    /// its own share of the capacity, so each gets its own shadow model.
+    shard: Option<(ShardPlan, usize)>,
 }
 
 impl AuditObserver {
@@ -994,6 +970,7 @@ impl AuditObserver {
             auditor: DecisionAuditor::new(),
             finished: AuditReport::default(),
             tier: None,
+            shard: None,
         }
     }
 
@@ -1004,6 +981,35 @@ impl AuditObserver {
         AuditObserver {
             tier: Some(tier),
             ..AuditObserver::new()
+        }
+    }
+
+    /// An observer auditing one shard of a tier whose policy is a
+    /// [`ShardedPolicy`](byc_core::ShardedPolicy) under `plan`: the
+    /// slices [`ShardPlan::shard_of`] routes to `shard`, against that
+    /// shard's policy instance.
+    pub(crate) fn for_shard(tier: u32, plan: ShardPlan, shard: usize) -> Self {
+        AuditObserver {
+            shard: Some((plan, shard)),
+            ..AuditObserver::for_tier(tier)
+        }
+    }
+
+    /// The tier whose decision stream this observer audits (the site
+    /// tier when unfiltered).
+    pub(crate) fn tier(&self) -> usize {
+        self.tier.and_then(|t| usize::try_from(t).ok()).unwrap_or(0)
+    }
+
+    /// The policy this observer audits within the tier's `policy`: the
+    /// policy itself, or its shard's instance.
+    fn audited<'p>(&self, policy: &'p dyn CachePolicy) -> Option<&'p dyn CachePolicy> {
+        match self.shard {
+            None => Some(policy),
+            Some((_, shard)) => policy
+                .as_sharded()
+                .and_then(|sharded| sharded.shards().get(shard))
+                .map(|p| &**p as &dyn CachePolicy),
         }
     }
 
@@ -1021,18 +1027,24 @@ impl Default for AuditObserver {
 
 impl Observer for AuditObserver {
     fn on_access(&mut self, event: &CostEvent<'_>) {
-        if self.tier.is_some_and(|t| t != event.tier) {
+        if self.tier.is_some_and(|t| t != event.tier)
+            || self
+                .shard
+                .is_some_and(|(plan, shard)| plan.shard_of(event.object) != shard)
+        {
             return;
         }
-        if let (Some(access), Some(decision), Some(policy)) =
-            (event.access, event.decision, event.policy)
-        {
+        if let (Some(access), Some(decision), Some(policy)) = (
+            event.access,
+            event.decision,
+            event.policy.and_then(|p| self.audited(p)),
+        ) {
             self.auditor.observe(access, decision, policy);
         }
     }
 
     fn finish(&mut self, policy: Option<&dyn CachePolicy>) {
-        if let Some(policy) = policy {
+        if let Some(policy) = policy.and_then(|p| self.audited(p)) {
             self.finished = self.auditor.finish(policy);
         }
     }

@@ -12,10 +12,11 @@
 //! * [`stream`] — the replay kernel: a [`stream::ChunkCompiler`]
 //!   hoists catalog resolution and network pricing into per-chunk
 //!   [`stream::CompiledChunk`] arenas, and one chunk-walking loop
-//!   replays them — in-memory or off a trace file, flat or tiered,
-//!   faulted or not, observed or not, whole or sharded across worker
-//!   threads — with cost reports bit-identical to the uncompiled
-//!   engine.
+//!   replays them on one lane — in-memory or off a trace file (decoded
+//!   and compiled one chunk ahead on a second thread), flat or tiered,
+//!   faulted or not, observed or not, through a plain or an
+//!   object-sharded policy — with cost reports bit-identical to the
+//!   uncompiled engine.
 //! * [`compiled`] — the arena's slice record ([`compiled::CompiledSlice`])
 //!   and [`compiled::CompiledTrace`], a whole trace compiled as one
 //!   chunk (what a sweep shares across its grid).

@@ -125,7 +125,7 @@ pub fn build_policy(
 }
 
 /// Instantiate one [`build_policy`] instance per shard of `plan`,
-/// bundled as a [`ShardedPolicy`] for sharded (parallel) replay.
+/// bundled as one [`ShardedPolicy`] for a sharded replay.
 ///
 /// The cache capacity splits evenly across shards
 /// ([`ShardPlan::split_capacity`]), each shard's [`PolicyKind::Static`]

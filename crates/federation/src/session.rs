@@ -26,12 +26,13 @@
 //! Every run goes through one driver over the chunked kernel in
 //! [`crate::stream`]: it validates the configuration once, picks a
 //! chunk source (a [`TraceReader`] via [`ReplaySession::from_reader`],
-//! windows over a resident trace, or the sweep's whole-trace arena),
-//! replays inline or fans out to one worker per shard
-//! ([`ReplaySession::shards`]), and closes out with one protocol: each
-//! tier's audit against its own tier's policy, every other observer
-//! against the site tier's. Chunking never changes a report; it only
-//! bounds memory (see DESIGN.md §17).
+//! decoded one chunk ahead on a scoped thread; windows over a resident
+//! trace; or the sweep's whole-trace arena), replays every chunk on one
+//! lane, and closes out with one protocol: each tier's audit (each
+//! shard's, for a [`ShardedPolicy`] bound via
+//! [`ReplaySession::shards`]) against the policy it watched, every
+//! other observer against the site tier's. Chunking never changes a
+//! report; it only bounds memory (see DESIGN.md §17).
 //!
 //! Configuration errors (no policy before `run`, a policy before
 //! `sweep`) surface as [`byc_types::Error::InvalidConfig`] — the crate
@@ -45,9 +46,7 @@ use crate::faults::{DegradationPolicy, FaultModel, FaultPlan, RetryPolicy, NO_RE
 use crate::network::{NetworkModel, Topology};
 use crate::policies::{build_policy, PolicyKind};
 use crate::simulator::{debug_assert_audit, Replay};
-use crate::stream::{
-    close_out, fan_out, tier_audits, ChunkCompiler, Feed, Lane, ReportSink, DEFAULT_CHUNK,
-};
+use crate::stream::{close_out, stack_audits, ChunkCompiler, Feed, Lane, DEFAULT_CHUNK};
 use crate::sweep::{SweepOptions, SweepPoint};
 use byc_catalog::ObjectCatalog;
 use byc_core::policy::CachePolicy;
@@ -76,7 +75,6 @@ pub struct ReplaySession<'a> {
     arena: Option<&'a CompiledTrace>,
     topology: Option<&'a Topology>,
     tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
-    sharded: Vec<&'a mut ShardedPolicy>,
     policy: Option<&'a mut dyn CachePolicy>,
     observers: Vec<&'a mut dyn Observer>,
     flight_recorder: Option<usize>,
@@ -89,7 +87,6 @@ impl std::fmt::Debug for ReplaySession<'_> {
             .field("reader", &self.reader.as_ref().map(|r| r.name()))
             .field("chunk_size", &self.chunk_size)
             .field("arena", &self.arena.map(CompiledTrace::queries))
-            .field("sharded", &self.sharded.len())
             .field("network", &self.network.name())
             .field("faults", &self.faults.map(FaultModel::name))
             .field("retry", &self.retry)
@@ -102,16 +99,6 @@ impl std::fmt::Debug for ReplaySession<'_> {
             .field("flight_recorder", &self.flight_recorder)
             .finish_non_exhaustive()
     }
-}
-
-/// The policies a validated run drives.
-enum Stack<'a> {
-    /// One policy per tier (the flat network is the one-tier case),
-    /// replayed on the calling thread.
-    Inline(Vec<&'a mut dyn CachePolicy>),
-    /// One sharded policy per tier, all under the same plan: one worker
-    /// per shard.
-    Sharded(Vec<&'a mut ShardedPolicy>),
 }
 
 impl<'a> ReplaySession<'a> {
@@ -149,23 +136,24 @@ impl<'a> ReplaySession<'a> {
             arena: None,
             topology: None,
             tier_policies: Vec::new(),
-            sharded: Vec::new(),
             policy: None,
             observers: Vec::new(),
             flight_recorder: None,
         }
     }
 
-    /// Compile and replay in chunks of the default size (4096 queries),
+    /// Compile and replay in chunks of the default size (1024 queries),
     /// the default for every session.
     #[must_use]
     pub fn streaming(self) -> Self {
         self.chunk_size(DEFAULT_CHUNK)
     }
 
-    /// Queries per compiled chunk (default 4096; clamped to at least 1).
+    /// Queries per compiled chunk (default 1024; clamped to at least 1).
     /// Smaller chunks tighten the memory bound, larger ones amortize
-    /// per-chunk dispatch; reports are bit-identical at every size.
+    /// per-chunk dispatch; reports are bit-identical at every size. A
+    /// reader-backed session holds up to three chunks of queries in
+    /// flight: one being decoded, one queued, one being replayed.
     #[must_use]
     pub fn chunk_size(mut self, queries: usize) -> Self {
         self.chunk_size = queries.max(1);
@@ -191,20 +179,22 @@ impl<'a> ReplaySession<'a> {
         self
     }
 
-    /// Replay through a [`ShardedPolicy`], one worker thread per shard
-    /// (repeatable). Flat sessions take exactly one; tiered sessions
-    /// one per tier, bottom-up, all under the same
-    /// [`ShardPlan`](byc_core::ShardPlan). Per-shard windows merge in
-    /// fixed shard order, so the report is bit-identical to driving the
-    /// same sharded policy sequentially — but not to an unsharded
-    /// policy, whose capacity is not split. Incompatible with
-    /// `.policy()`/`.tier_policy()` and with observers (`.observe()`,
-    /// `.series()`, `.flight_recorder()`); only the audit rides each
-    /// shard's worker.
+    /// Replay through a [`ShardedPolicy`]: one policy instance per
+    /// object-id range, each caching in its own share of the capacity.
+    /// It is an ordinary policy to the replay — on a flat session this
+    /// binds it like [`Self::policy`], on a topology like the next
+    /// [`Self::tier_policy`] (so call [`Self::topology`] first) — and
+    /// every observer rides it as usual. Its report is bit-identical to
+    /// the same sharded policy passed to `.policy(...)`, but not to an
+    /// unsharded policy, whose capacity is not split. Either way the
+    /// audit keeps one shadow model per shard, each checked against its
+    /// own shard's instance.
     #[must_use]
-    pub fn shards(mut self, sharded: &'a mut ShardedPolicy) -> Self {
-        self.sharded.push(sharded);
-        self
+    pub fn shards(self, sharded: &'a mut ShardedPolicy) -> Self {
+        match self.topology {
+            Some(_) => self.tier_policy(sharded),
+            None => self.policy(sharded),
+        }
     }
 
     /// Attach a fault flight recorder keeping the last `depth` events
@@ -326,17 +316,15 @@ impl<'a> ReplaySession<'a> {
     }
 
     /// Replay the trace through the configured policy (or, with
-    /// [`Self::topology`], through the configured tier hierarchy; or,
-    /// with [`Self::shards`], through one worker per shard).
+    /// [`Self::topology`], through the configured tier hierarchy).
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when no policy was configured, or when
     /// the configuration is inconsistent (a flat `.policy(...)`
-    /// alongside a topology, a tier-policy or sharded-policy count that
-    /// does not match the topology's depth, sharded policies mixed with
-    /// plain ones or with whole-stream observers, or an arena that does
-    /// not match the trace); IO and format errors from a reader.
+    /// alongside a topology, a tier-policy count that does not match
+    /// the topology's depth, or an arena that does not match the
+    /// trace); IO and format errors from a reader.
     pub fn run(self) -> Result<Replay> {
         let audit = self.audit.unwrap_or(cfg!(debug_assertions));
         let fault_context = self.fault_context();
@@ -345,9 +333,6 @@ impl<'a> ReplaySession<'a> {
             retry: self.retry,
             degradation: self.degradation,
         });
-        let whole_stream = !self.observers.is_empty()
-            || self.sample_every.is_some()
-            || self.flight_recorder.is_some();
         let ReplaySession {
             trace,
             reader,
@@ -358,13 +343,12 @@ impl<'a> ReplaySession<'a> {
             arena,
             topology,
             tier_policies,
-            sharded,
             policy,
             mut observers,
             flight_recorder,
             ..
         } = self;
-        let stack = validate(topology, policy, tier_policies, sharded, whole_stream)?;
+        let stack = validate(topology, policy, tier_policies)?;
         let depth = topology.map_or(1, Topology::depth);
         let feed = match (reader, trace, arena) {
             (Some(reader), None, None) => Feed::Reader {
@@ -392,34 +376,11 @@ impl<'a> ReplaySession<'a> {
             Some(topology) => ChunkCompiler::tiered(objects, topology),
             None => ChunkCompiler::flat(objects, network),
         };
-
-        let stack = match stack {
-            Stack::Inline(stack) => stack,
-            Stack::Sharded(mut tiers) => {
-                let label = tiers
-                    .first()
-                    .map(|s| s.name().to_string())
-                    .unwrap_or_default();
-                let outcome = fan_out(feed, &mut compiler, &mut tiers, label, faults, audit)?;
-                debug_assert!(outcome.report.conserves_delivery());
-                return Ok(Replay {
-                    report: outcome.report,
-                    series: Vec::new(),
-                    audit: outcome.audit,
-                    warnings: Vec::new(),
-                    postmortems: Vec::new(),
-                });
-            }
-        };
-
         let label = stack.first().map(|p| p.name()).unwrap_or_default();
-        let report = ReportSink::new(
-            CostObserver::new(label, feed.name(), compiler.granularity()),
-            false,
-        );
+        let report = CostObserver::new(label, feed.name(), compiler.granularity());
         let mut series = sample_every.map(SeriesObserver::new);
         let mut audits = if audit {
-            tier_audits(depth)
+            stack_audits(&stack)
         } else {
             Vec::new()
         };
@@ -440,13 +401,11 @@ impl<'a> ReplaySession<'a> {
             for obs in observers.iter_mut() {
                 all.push(&mut **obs);
             }
-            let mut lane = Lane::new(stack, None, report, all);
+            let mut lane = Lane::new(stack, report, all);
             feed.drive(&mut compiler, |chunk, queries| {
-                lane.replay(&chunk, Some(queries), faults.as_ref());
-                true
+                lane.replay(chunk, queries, faults.as_ref());
             })?;
-            let (stack, cost, _) = lane.into_parts();
-            (stack, cost)
+            lane.into_parts()
         };
         let mut others: Vec<&mut dyn Observer> = Vec::with_capacity(2 + observers.len());
         if let Some(series) = series.as_mut() {
@@ -483,8 +442,8 @@ impl<'a> ReplaySession<'a> {
     ///
     /// [`Error::InvalidConfig`] when a policy or extra observers were
     /// configured (sweeps build their own per job), when the session
-    /// reads from a file or shards (sweeps replay one in-memory trace),
-    /// or when a fraction is not positive.
+    /// reads from a file (sweeps replay one in-memory trace), or when a
+    /// fraction is not positive.
     pub fn sweep<O: Observer + Send>(
         self,
         options: SweepOptions<'_, O>,
@@ -545,10 +504,10 @@ impl<'a> ReplaySession<'a> {
                     .into(),
             ));
         }
-        if self.reader.is_some() || !self.sharded.is_empty() {
+        if self.reader.is_some() {
             return Err(Error::InvalidConfig(
                 "sweeps replay one in-memory trace across the whole grid; \
-                 reader-backed and sharded sessions cannot sweep"
+                 reader-backed sessions cannot sweep"
                     .into(),
             ));
         }
@@ -679,55 +638,14 @@ impl<'a> ReplaySession<'a> {
     }
 }
 
-/// Check the policy configuration once and settle what the run drives:
-/// one policy per tier inline, or one sharded policy per tier fanned
-/// out.
+/// Check the policy configuration once and settle the stack the run
+/// drives: one policy per tier, bottom-up (the flat network is the
+/// one-tier case).
 fn validate<'a>(
     topology: Option<&Topology>,
     policy: Option<&'a mut dyn CachePolicy>,
     tier_policies: Vec<&'a mut (dyn CachePolicy + Send + Sync)>,
-    sharded: Vec<&'a mut ShardedPolicy>,
-    whole_stream: bool,
-) -> Result<Stack<'a>> {
-    let depth = topology.map_or(1, Topology::depth);
-    if !sharded.is_empty() {
-        if policy.is_some() || !tier_policies.is_empty() {
-            return Err(Error::InvalidConfig(
-                "sharded replay drives the ShardedPolicy instances passed via .shards(...); \
-                 don't mix in .policy(...) or .tier_policy(...)"
-                    .into(),
-            ));
-        }
-        if whole_stream {
-            return Err(Error::InvalidConfig(
-                "sharded replay merges per-shard state; whole-stream observers \
-                 (.observe/.series/.flight_recorder) need an unsharded replay"
-                    .into(),
-            ));
-        }
-        if sharded.len() != depth {
-            return Err(Error::InvalidConfig(match topology {
-                Some(topo) => format!(
-                    "topology {} has {} tiers but {} sharded policies were configured",
-                    topo.name(),
-                    depth,
-                    sharded.len()
-                ),
-                None => format!(
-                    "flat sharded replay takes exactly one ShardedPolicy, got {} \
-                     (tiered sessions pass one per tier with .topology(...))",
-                    sharded.len()
-                ),
-            }));
-        }
-        let plan = sharded.first().map(|s| s.plan());
-        if sharded.iter().any(|s| Some(s.plan()) != plan) {
-            return Err(Error::InvalidConfig(
-                "sharded tiered replay needs every tier sharded under the same ShardPlan".into(),
-            ));
-        }
-        return Ok(Stack::Sharded(sharded));
-    }
+) -> Result<Vec<&'a mut dyn CachePolicy>> {
     match topology {
         None => {
             if !tier_policies.is_empty() {
@@ -737,11 +655,10 @@ fn validate<'a>(
                 ));
             }
             match policy {
-                Some(policy) => Ok(Stack::Inline(vec![policy])),
+                Some(policy) => Ok(vec![policy]),
                 None => Err(Error::InvalidConfig(
-                    "ReplaySession::run needs a policy; call .policy(...) first \
-                     (or .shards(...) for sharded replay, or a sweep terminal, which \
-                     builds its own)"
+                    "ReplaySession::run needs a policy; call .policy(...) or .shards(...) \
+                     first (or a sweep terminal, which builds its own)"
                         .into(),
                 )),
             }
@@ -749,11 +666,13 @@ fn validate<'a>(
         Some(topo) => {
             if policy.is_some() {
                 return Err(Error::InvalidConfig(
-                    "tiered sessions take one policy per tier via .tier_policy(...); \
-                     don't call .policy(...) alongside .topology(...)"
+                    "tiered sessions take one policy per tier via .tier_policy(...) or \
+                     .shards(...) after .topology(...); don't call .policy(...) alongside \
+                     .topology(...)"
                         .into(),
                 ));
             }
+            let depth = topo.depth();
             if tier_policies.len() != depth {
                 return Err(Error::InvalidConfig(format!(
                     "topology {} has {} tiers but {} tier policies were configured",
@@ -762,12 +681,10 @@ fn validate<'a>(
                     tier_policies.len()
                 )));
             }
-            Ok(Stack::Inline(
-                tier_policies
-                    .into_iter()
-                    .map(|p| p as &mut dyn CachePolicy)
-                    .collect(),
-            ))
+            Ok(tier_policies
+                .into_iter()
+                .map(|p| p as &mut dyn CachePolicy)
+                .collect())
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The replay kernel: chunked compilation, one chunk-walking loop, and
-//! the object-sharded fan-out that runs it on parallel workers.
+//! the decode pipeline that feeds it off a trace file.
 //!
 //! Every session replay — in-memory or straight off a trace file, flat
-//! or tiered, fault-free or faulted, observed or not, whole or sharded —
-//! runs the same three steps:
+//! or tiered, fault-free or faulted, observed or not, sharded or not —
+//! runs the same two steps:
 //!
 //! 1. **Compile a chunk.** A [`ChunkCompiler`] turns a run of queries
 //!    into a [`CompiledChunk`]: a slice arena plus per-query offsets,
@@ -11,59 +11,48 @@
 //!    table/column across chunks, so the one-time work stays one-time.
 //!    On a topology each slice also carries its price over every link
 //!    above the site tier. A `Feed` supplies the chunks: windows over
-//!    a resident trace, chunks pulled off a [`TraceReader`], or the
-//!    sweep's whole trace compiled once up front.
-//! 2. **Walk the chunk.** `CompiledChunk::replay` is the one loop: per query it
-//!    sets the virtual clock, per slice it applies the shard filter and
-//!    resolves the slice through the tier walk, and it emits into a
-//!    `Sink` fixed at compile time. The report sink accumulates the
-//!    [`CostReport`]'s window. The observer sink also dispatches events
-//!    to `&mut dyn Observer` after partitioning out the
-//!    query-boundary-only observers. One lane skips the walk: on a
-//!    one-tier stack (a flat network, or a one-tier topology) with no
-//!    fault layer and no observer that wants slice events, each
-//!    decision settles straight into the report's window.
-//! 3. **Fan out (sharded only).** A [`byc_core::ShardedPolicy`]
-//!    partitions policy state by object-id range. One scoped worker per
-//!    shard runs the same kernel over every chunk, fed over a bounded
-//!    channel, skipping slices it does not own. Decisions depend only on
-//!    the owning shard's state plus the global query clock, and fault
-//!    outcomes are pure functions of (query, tick, object, server,
-//!    attempt), so merging the per-shard windows in fixed shard order
-//!    reproduces the sequential run of the same sharded policy bit for
-//!    bit (DESIGN.md §17).
+//!    a resident trace, the sweep's whole trace compiled once up front,
+//!    or chunks pulled off a [`TraceReader`]. The reader feed decodes
+//!    and compiles on a scoped thread, one chunk ahead of the kernel,
+//!    and hands the chunks over in trace order.
+//! 2. **Walk the chunk.** `CompiledChunk::replay` is the one loop: per
+//!    query it sets the virtual clock, per slice it resolves the slice
+//!    through the tier walk, and it emits into a `Sink` fixed at compile
+//!    time. The report sink accumulates the
+//!    [`CostReport`](crate::accounting::CostReport)'s window. The
+//!    observer sink also dispatches events to `&mut dyn Observer` after
+//!    partitioning out the query-boundary-only observers. One lane skips
+//!    the walk: on a one-tier stack (a flat network, or a one-tier
+//!    topology) with no fault layer and no observer that wants slice
+//!    events, each decision settles straight into the report's window.
+//!
+//! A [`byc_core::ShardedPolicy`] is one policy on the one lane: it
+//! routes each access to the instance owning the object, in trace
+//! order, on the kernel's thread. Only the audit looks inside it, with
+//! one shadow model per shard.
 //!
 //! Memory stays bounded by the chunk size times a small constant: the
-//! bounded channels hold at most a few chunks in flight, and a reader
-//! feed never materializes the whole trace.
+//! reader feed holds at most three batches (a query buffer and its
+//! compiled chunk) in flight, and never materializes the whole trace.
 
-use crate::accounting::CostReport;
 use crate::compiled::CompiledSlice;
 use crate::engine::{
     partition_access_observers, serve_slice_tiered, AuditObserver, CostEvent, CostObserver,
-    Observer, QueryWindow,
+    Observer,
 };
 use crate::faults::FaultPlan;
 use crate::network::{NetworkModel, Pricing, Topology};
 use byc_catalog::{Granularity, ObjectCatalog};
 use byc_core::audit::AuditReport;
 use byc_core::policy::CachePolicy;
-use byc_core::shard::{ShardPlan, ShardedPolicy};
 use byc_types::{Bytes, ColumnId, ObjectId, Result, ServerId, TableId, Tick};
 use byc_workload::{Trace, TraceQuery, TraceReader};
-use std::borrow::Cow;
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 
 /// Default queries per chunk: large enough to amortize per-chunk
-/// dispatch and channel traffic, small enough that a few in-flight
-/// chunks stay far below any trace worth streaming.
-pub(crate) const DEFAULT_CHUNK: usize = 4096;
-
-/// Chunks a worker may have queued (per shard) before the producer
-/// blocks: the backpressure bound that keeps sharded replay in constant
-/// memory.
-const CHANNEL_DEPTH: usize = 2;
+/// dispatch and channel traffic, small enough that the reader feed's
+/// buffers in flight stay a few MiB.
+pub(crate) const DEFAULT_CHUNK: usize = 1024;
 
 /// One memoized table/column resolution: computed on first sight,
 /// reused for every later slice of the same reference.
@@ -93,7 +82,7 @@ enum Slot {
 /// per table: its yield over links `1..depth` and its origin fetch down
 /// to tiers `1..depth`. A flat network and a one-tier topology compile
 /// to the same table-free arena.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CompiledChunk {
     /// Global index of the chunk's first query.
     pub(crate) first_query: usize,
@@ -184,34 +173,40 @@ impl<'a> ChunkCompiler<'a> {
     /// that do not resolve are skipped, matching
     /// [`crate::engine::decompose`] slice for slice.
     pub fn compile(&mut self, queries: &[TraceQuery]) -> CompiledChunk {
-        let mut chunk = CompiledChunk {
-            first_query: self.next_query,
-            slices: Vec::new(),
-            offsets: Vec::with_capacity(queries.len().saturating_add(1)),
-            upper: self.pricing.depth().saturating_sub(1),
-            upper_yields: Vec::new(),
-            upper_fetches: Vec::new(),
-        };
+        let mut chunk = CompiledChunk::default();
+        self.compile_into(queries, &mut chunk);
+        chunk
+    }
+
+    /// [`Self::compile`] into `chunk`, overwriting it and reusing the
+    /// capacity of its buffers.
+    fn compile_into(&mut self, queries: &[TraceQuery], chunk: &mut CompiledChunk) {
+        chunk.first_query = self.next_query;
+        chunk.upper = self.pricing.depth().saturating_sub(1);
+        chunk.slices.clear();
+        chunk.upper_yields.clear();
+        chunk.upper_fetches.clear();
+        chunk.offsets.clear();
+        chunk.offsets.reserve(queries.len().saturating_add(1));
         chunk.offsets.push(0);
         for query in queries {
             match self.objects.granularity() {
                 Granularity::Table => {
                     for &(t, raw_yield) in &query.table_yields {
                         let slot = self.table_slot(t);
-                        self.push_slice(slot, raw_yield, &mut chunk);
+                        self.push_slice(slot, raw_yield, chunk);
                     }
                 }
                 Granularity::Column => {
                     for &(c, raw_yield) in &query.column_yields {
                         let slot = self.column_slot(c);
-                        self.push_slice(slot, raw_yield, &mut chunk);
+                        self.push_slice(slot, raw_yield, chunk);
                     }
                 }
             }
             chunk.offsets.push(chunk.slices.len());
         }
         self.next_query = self.next_query.saturating_add(queries.len());
-        chunk
     }
 
     fn table_slot(&mut self, table: TableId) -> Slot {
@@ -316,8 +311,7 @@ fn remember(memo: &mut Vec<Slot>, idx: usize, slot: Slot) {
 /// Where the kernel emits: fixed per call site at compile time, so the
 /// report-only replay carries no dynamic dispatch per slice.
 trait Sink {
-    /// A query is about to be served (`query` is `None` on sharded
-    /// workers, which see compiled arenas only).
+    /// A query is about to be served.
     fn start_query(&mut self, index: usize, query: Option<&TraceQuery>);
 
     /// One slice event of the tier walk.
@@ -331,55 +325,29 @@ trait Sink {
     fn report_only(&mut self) -> Option<&mut CostObserver>;
 }
 
-/// The report sink: the replay's [`CostObserver`] plus, on faulted
-/// sharded workers, the per-query (failed, degraded) slice counts the
-/// cross-shard fault rollup needs.
-pub(crate) struct ReportSink {
-    cost: CostObserver,
-    pairs: Option<Vec<(u32, u32)>>,
-}
-
-impl ReportSink {
-    /// A sink headed with the given report labels, tracking per-query
-    /// fault pairs when `track_pairs`.
-    pub(crate) fn new(cost: CostObserver, track_pairs: bool) -> Self {
-        ReportSink {
-            cost,
-            pairs: track_pairs.then(Vec::new),
-        }
-    }
-}
-
-impl Sink for ReportSink {
+/// The report sink: the replay's [`CostObserver`] alone.
+impl Sink for CostObserver {
     fn start_query(&mut self, _index: usize, _query: Option<&TraceQuery>) {
-        self.cost.start_query();
+        CostObserver::start_query(self);
     }
 
     fn event(&mut self, event: &CostEvent<'_>) {
-        self.cost.absorb(event);
+        self.absorb(event);
     }
 
     fn end_query(&mut self, _index: usize, _query: Option<&TraceQuery>) {
-        if let Some(pairs) = self.pairs.as_mut() {
-            let (failed, degraded) = self.cost.query_faults();
-            pairs.push((
-                u32::try_from(failed).unwrap_or(u32::MAX),
-                u32::try_from(degraded).unwrap_or(u32::MAX),
-            ));
-        }
-        self.cost.end_query();
+        CostObserver::end_query(self);
     }
 
     fn report_only(&mut self) -> Option<&mut CostObserver> {
-        Some(&mut self.cost)
+        Some(self)
     }
 }
 
 /// The observer sink: the report first, then query hooks to every
-/// observer (when the query is at hand) and slice events to the
-/// access-wanting prefix only.
+/// observer and slice events to the access-wanting prefix only.
 struct ObserverSink<'s, 'o> {
-    report: &'s mut ReportSink,
+    report: &'s mut CostObserver,
     observers: &'s mut [&'o mut dyn Observer],
     /// Length of the prefix that wants per-access events.
     access: usize,
@@ -387,7 +355,7 @@ struct ObserverSink<'s, 'o> {
 
 impl Sink for ObserverSink<'_, '_> {
     fn start_query(&mut self, index: usize, query: Option<&TraceQuery>) {
-        self.report.start_query(index, query);
+        self.report.start_query();
         if let Some(query) = query {
             for obs in self.observers.iter_mut() {
                 obs.on_query_start(index, query);
@@ -396,14 +364,14 @@ impl Sink for ObserverSink<'_, '_> {
     }
 
     fn event(&mut self, event: &CostEvent<'_>) {
-        self.report.event(event);
+        self.report.absorb(event);
         for obs in self.observers.iter_mut().take(self.access) {
             obs.on_access(event);
         }
     }
 
     fn end_query(&mut self, index: usize, query: Option<&TraceQuery>) {
-        self.report.end_query(index, query);
+        self.report.end_query();
         if let Some(query) = query {
             for obs in self.observers.iter_mut() {
                 obs.on_query_end(index, query);
@@ -414,20 +382,17 @@ impl Sink for ObserverSink<'_, '_> {
     /// Observers that tick only on query boundaries see no slice event,
     /// so they leave the report-only shortcut open.
     fn report_only(&mut self) -> Option<&mut CostObserver> {
-        (self.access == 0).then_some(&mut self.report.cost)
+        (self.access == 0).then_some(&mut *self.report)
     }
 }
 
 impl CompiledChunk {
     /// The replay kernel: walk this chunk through a policy stack (one
     /// policy per tier, bottom-up) and emit into `sink`. `queries` are
-    /// the chunk's source queries, handed to the sink's query hooks when
-    /// available; `shard` restricts the walk to the slices one shard
-    /// owns, while the query clock still advances over every query.
+    /// the chunk's source queries, handed to the sink's query hooks.
     fn replay<S: Sink>(
         &self,
-        queries: Option<&[TraceQuery]>,
-        shard: Option<(ShardPlan, usize)>,
+        queries: &[TraceQuery],
         tiers: &mut [&mut dyn CachePolicy],
         faults: Option<&FaultPlan<'_>>,
         sink: &mut S,
@@ -437,12 +402,9 @@ impl CompiledChunk {
             let &[start, end] = bounds else { continue };
             let index = self.first_query.saturating_add(local);
             let time = Tick::new(index as u64);
-            let query = queries.and_then(|qs| qs.get(local));
+            let query = queries.get(local);
             sink.start_query(index, query);
             for (at, slice) in (start..end).zip(self.slices.get(start..end).unwrap_or(&[])) {
-                if shard.is_some_and(|(plan, owner)| plan.shard_of(slice.object) != owner) {
-                    continue;
-                }
                 // The one specialization: a fault-free decision on a
                 // one-tier stack that only the report consumes settles
                 // straight into the report's window, with no event.
@@ -484,13 +446,11 @@ impl CompiledChunk {
     }
 }
 
-/// One kernel lane: a policy stack plus the sinks it emits into. An
-/// unsharded replay drives one lane on the calling thread; a sharded
-/// replay drives one per worker, each filtered to its shard.
+/// The one kernel lane: a policy stack plus the sinks it emits into.
+/// Every replay drives one, on the calling thread.
 pub(crate) struct Lane<'p, 'o> {
     stack: Vec<&'p mut dyn CachePolicy>,
-    shard: Option<(ShardPlan, usize)>,
-    report: ReportSink,
+    report: CostObserver,
     observers: Vec<&'o mut dyn Observer>,
     /// Length of the observers' access-wanting prefix.
     access: usize,
@@ -501,14 +461,12 @@ impl<'p, 'o> Lane<'p, 'o> {
     /// given, `observers`.
     pub(crate) fn new(
         stack: Vec<&'p mut dyn CachePolicy>,
-        shard: Option<(ShardPlan, usize)>,
-        report: ReportSink,
+        report: CostObserver,
         mut observers: Vec<&'o mut dyn Observer>,
     ) -> Self {
         let access = partition_access_observers(&mut observers);
         Lane {
             stack,
-            shard,
             report,
             observers,
             access,
@@ -519,51 +477,59 @@ impl<'p, 'o> Lane<'p, 'o> {
     pub(crate) fn replay(
         &mut self,
         chunk: &CompiledChunk,
-        queries: Option<&[TraceQuery]>,
+        queries: &[TraceQuery],
         faults: Option<&FaultPlan<'_>>,
     ) {
         let stack = &mut self.stack;
         if self.observers.is_empty() {
-            chunk.replay(queries, self.shard, stack, faults, &mut self.report);
+            chunk.replay(queries, stack, faults, &mut self.report);
         } else {
             let mut sink = ObserverSink {
                 report: &mut self.report,
                 observers: &mut self.observers,
                 access: self.access,
             };
-            chunk.replay(queries, self.shard, stack, faults, &mut sink);
+            chunk.replay(queries, stack, faults, &mut sink);
         }
     }
 
-    /// Release the observers, handing back the stack, the report's
-    /// observer, and the per-query fault pairs (empty unless tracked).
-    pub(crate) fn into_parts(
-        self,
-    ) -> (Vec<&'p mut dyn CachePolicy>, CostObserver, Vec<(u32, u32)>) {
-        let pairs = self.report.pairs.unwrap_or_default();
-        (self.stack, self.report.cost, pairs)
+    /// Release the observers, handing back the stack and the report's
+    /// observer.
+    pub(crate) fn into_parts(self) -> (Vec<&'p mut dyn CachePolicy>, CostObserver) {
+        (self.stack, self.report)
     }
 }
 
-/// One audit observer per tier of a `depth`-tier stack, each watching
-/// only its own tier's decision stream.
-pub(crate) fn tier_audits(depth: usize) -> Vec<AuditObserver> {
-    (0..depth)
-        .map(|t| AuditObserver::for_tier(u32::try_from(t).unwrap_or(u32::MAX)))
-        .collect()
+/// The audits of a stack: one per tier, each watching only its own
+/// tier's decision stream — or, for a tier whose policy is a
+/// [`byc_core::ShardedPolicy`], one per shard, each watching only the
+/// objects its shard owns.
+pub(crate) fn stack_audits(stack: &[&mut dyn CachePolicy]) -> Vec<AuditObserver> {
+    let mut audits = Vec::with_capacity(stack.len());
+    for (tier, policy) in stack.iter().enumerate() {
+        let tier = u32::try_from(tier).unwrap_or(u32::MAX);
+        match policy.as_sharded().map(|sharded| sharded.plan()) {
+            Some(plan) => audits.extend(
+                (0..plan.shards()).map(|shard| AuditObserver::for_shard(tier, plan, shard)),
+            ),
+            None => audits.push(AuditObserver::for_tier(tier)),
+        }
+    }
+    audits
 }
 
-/// The one close-out protocol: each tier's audit deep-checks against
-/// its own tier's policy, and every other observer finishes against
-/// the site tier's. Returns the merged audit and the other observers'
-/// warnings, in order.
+/// The one close-out protocol: each audit deep-checks against the
+/// policy it watched (its tier's, or its shard's within it), and every
+/// other observer finishes against the site tier's. Returns the merged
+/// audit and the other observers' warnings, in order.
 pub(crate) fn close_out(
     stack: &[&mut dyn CachePolicy],
     audits: Vec<AuditObserver>,
     others: &mut [&mut dyn Observer],
 ) -> (Option<AuditReport>, Vec<String>) {
-    let audit = merge_audits(audits.into_iter().zip(stack).map(|(mut audit, policy)| {
-        audit.finish(Some(&**policy));
+    let audit = merge_audits(audits.into_iter().map(|mut audit| {
+        let policy = stack.get(audit.tier()).map(|p| &**p as &dyn CachePolicy);
+        audit.finish(policy);
         audit.into_report()
     }));
     let site: Option<&dyn CachePolicy> = stack.first().map(|p| &**p as &dyn CachePolicy);
@@ -575,7 +541,7 @@ pub(crate) fn close_out(
     (audit, warnings)
 }
 
-/// Merge per-tier (or per-shard) audit reports into one: counters and
+/// Merge per-tier (and per-shard) audit reports into one: counters and
 /// served-byte tallies sum, violation excerpts concatenate (the exact
 /// count lives in `violation_count`).
 fn merge_audits(reports: impl Iterator<Item = AuditReport>) -> Option<AuditReport> {
@@ -600,8 +566,9 @@ pub(crate) enum Feed<'a> {
     /// Windows of `chunk` queries over a resident trace, compiled as
     /// the replay reaches them.
     Memory { trace: &'a Trace, chunk: usize },
-    /// Chunks of `chunk` queries pulled off a trace file: the trace is
-    /// never resident.
+    /// Chunks of `chunk` queries pulled off a trace file, decoded and
+    /// compiled one chunk ahead of the kernel: the trace is never
+    /// resident.
     Reader {
         reader: &'a mut TraceReader,
         chunk: usize,
@@ -614,6 +581,11 @@ pub(crate) enum Feed<'a> {
     },
 }
 
+/// A compiled chunk with its source queries: what the reader feed's
+/// decode thread hands the kernel, and what the kernel hands back spent
+/// for the decoder to refill in place.
+type Batch = (CompiledChunk, Vec<TraceQuery>);
+
 impl Feed<'_> {
     /// The trace name for report headers.
     pub(crate) fn name(&self) -> &str {
@@ -624,222 +596,79 @@ impl Feed<'_> {
     }
 
     /// Hand every compiled chunk, with its source queries, to `each` in
-    /// trace order, stopping early when `each` returns `false`. Returns
-    /// the number of queries fed.
+    /// trace order, on the calling thread. Returns the number of
+    /// queries fed.
     ///
     /// # Errors
     ///
-    /// IO and format errors from a reader feed.
+    /// IO and format errors from a reader feed, exactly as the reader
+    /// raised them, after every chunk before the bad one was fed.
     pub(crate) fn drive(
         self,
         compiler: &mut ChunkCompiler<'_>,
-        mut each: impl FnMut(Cow<'_, CompiledChunk>, &[TraceQuery]) -> bool,
+        mut each: impl FnMut(&CompiledChunk, &[TraceQuery]),
     ) -> Result<usize> {
-        let mut fed = 0usize;
         match self {
             Feed::Compiled { trace, arena } => {
-                fed = arena.queries();
-                each(Cow::Borrowed(arena), &trace.queries);
+                each(arena, &trace.queries);
+                Ok(arena.queries())
             }
             Feed::Memory { trace, chunk } => {
                 for queries in trace.queries.chunks(chunk.max(1)) {
-                    fed = fed.saturating_add(queries.len());
-                    if !each(Cow::Owned(compiler.compile(queries)), queries) {
-                        break;
-                    }
+                    each(&compiler.compile(queries), queries);
                 }
+                Ok(trace.len())
             }
-            Feed::Reader { reader, chunk } => {
-                // One chunk buffer for the whole file: each refill
-                // reuses the previous chunk's queries and their buffers.
-                let mut queries = Vec::new();
-                loop {
-                    reader.next_chunk_into(&mut queries, chunk)?;
-                    if queries.is_empty() {
-                        break;
-                    }
-                    fed = fed.saturating_add(queries.len());
-                    if !each(Cow::Owned(compiler.compile(&queries)), &queries) {
-                        break;
-                    }
+            Feed::Reader { reader, chunk } => std::thread::scope(|scope| {
+                // One slot of backpressure: the decoder runs at most one
+                // chunk ahead of the kernel. Spent batches flow back so
+                // the decoder refills their buffers in place.
+                let (ready, decoded) = sync_channel::<Result<Batch>>(1);
+                let (spent, reuse) = channel::<Batch>();
+                let decoder = scope.spawn(move || decode(reader, compiler, chunk, &ready, &reuse));
+                let mut fed = 0usize;
+                for batch in decoded {
+                    // The decoder sends an error last, then returns.
+                    let batch = batch?;
+                    fed = fed.saturating_add(batch.1.len());
+                    each(&batch.0, &batch.1);
+                    // A decoder that already hit EOF has hung up; the
+                    // batch is then simply dropped.
+                    let _ = spent.send(batch);
                 }
-            }
+                decoder
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e));
+                Ok(fed)
+            }),
         }
-        Ok(fed)
     }
 }
 
-/// What one shard's worker hands back after the input channel closes.
-struct ShardOutcome {
-    /// The shard's slice-event accumulator.
-    window: QueryWindow,
-    /// Per-query (failed, degraded) slice counts — one entry per
-    /// *global* query, in order. Only tracked under faults; the
-    /// per-query fault rollup needs cross-shard totals per query.
-    pairs: Vec<(u32, u32)>,
-    /// Merged audit report of the shard's decision streams.
-    audit: Option<AuditReport>,
-}
-
-/// What a sharded replay produces: the merged report plus the merged
-/// audit.
-pub(crate) struct ShardedOutcome {
-    pub(crate) report: CostReport,
-    pub(crate) audit: Option<AuditReport>,
-}
-
-/// One shard's worker: a lane filtered to the shard, draining chunks
-/// off the channel until the producer hangs up.
-fn shard_worker(
-    shard: (ShardPlan, usize),
-    stack: Vec<&mut (dyn CachePolicy + Send + Sync)>,
-    rx: Receiver<Arc<CompiledChunk>>,
-    faults: Option<FaultPlan<'_>>,
-    track_pairs: bool,
-    mut audits: Vec<AuditObserver>,
-) -> ShardOutcome {
-    let stack: Vec<&mut dyn CachePolicy> = stack
-        .into_iter()
-        .map(|p| p as &mut dyn CachePolicy)
-        .collect();
-    let report = ReportSink::new(CostObserver::new("", "", ""), track_pairs);
-    let (stack, cost, pairs) = {
-        let observers: Vec<&mut dyn Observer> = audits
-            .iter_mut()
-            .map(|audit| audit as &mut dyn Observer)
-            .collect();
-        let mut lane = Lane::new(stack, Some(shard), report, observers);
-        while let Ok(chunk) = rx.recv() {
-            lane.replay(&chunk, None, faults.as_ref());
-        }
-        lane.into_parts()
-    };
-    let (audit, _) = close_out(&stack, audits, &mut []);
-    ShardOutcome {
-        window: *cost.window(),
-        pairs,
-        audit,
-    }
-}
-
-/// Sharded parallel replay: one scoped worker per shard, each running
-/// the kernel over every chunk with its shard's per-tier policy stack
-/// (the same shard slot of every tier's [`ShardedPolicy`], which must
-/// all share one [`ShardPlan`]). Per-shard windows merge in fixed shard
-/// order into one report — bit-identical to driving the same sharded
-/// policies sequentially.
-///
-/// # Errors
-///
-/// IO and format errors from a reader feed.
-pub(crate) fn fan_out(
-    feed: Feed<'_>,
+/// The reader feed's decode thread: refill a batch (a spent one when
+/// the kernel has returned one) with the next chunk of queries and its
+/// compiled arena, and send it down `ready` in trace order until end of
+/// file, the first reader error, or the kernel hanging up.
+fn decode(
+    reader: &mut TraceReader,
     compiler: &mut ChunkCompiler<'_>,
-    tiers: &mut [&mut ShardedPolicy],
-    label: String,
-    faults: Option<FaultPlan<'_>>,
-    audit: bool,
-) -> Result<ShardedOutcome> {
-    let plan = match tiers.first() {
-        Some(site) => site.plan(),
-        None => ShardPlan::new(1, 0),
-    };
-    let trace = feed.name().to_string();
-    let granularity = compiler.granularity().to_string();
-    let track_pairs = faults.is_some();
-    let (queries, outcomes) = std::thread::scope(|scope| {
-        // Transpose [tier][shard] policy slots into per-shard stacks.
-        let mut stacks: Vec<Vec<&mut (dyn CachePolicy + Send + Sync)>> = (0..plan.shards())
-            .map(|_| Vec::with_capacity(tiers.len()))
-            .collect();
-        for tier in tiers.iter_mut() {
-            for (stack, policy) in stacks.iter_mut().zip(tier.shards_mut().iter_mut()) {
-                stack.push(&mut **policy);
-            }
+    chunk: usize,
+    ready: &SyncSender<Result<Batch>>,
+    reuse: &Receiver<Batch>,
+) {
+    loop {
+        let (mut compiled, mut queries) = reuse.try_recv().unwrap_or_default();
+        if let Err(e) = reader.next_chunk_into(&mut queries, chunk) {
+            let _ = ready.send(Err(e));
+            return;
         }
-        let mut txs = Vec::with_capacity(plan.shards());
-        let mut handles = Vec::with_capacity(plan.shards());
-        for (shard, stack) in stacks.into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<Arc<CompiledChunk>>(CHANNEL_DEPTH);
-            let audits = if audit {
-                tier_audits(stack.len())
-            } else {
-                Vec::new()
-            };
-            handles.push(scope.spawn(move || {
-                shard_worker((plan, shard), stack, rx, faults, track_pairs, audits)
-            }));
-            txs.push(tx);
+        if queries.is_empty() {
+            return;
         }
-        // A send error means a worker died; its panic resurfaces at
-        // join, so feeding just stops.
-        let fed = feed.drive(compiler, |chunk, _| {
-            let chunk = Arc::new(chunk.into_owned());
-            txs.iter().all(|tx| tx.send(Arc::clone(&chunk)).is_ok())
-        });
-        drop(txs);
-        let outcomes: Vec<ShardOutcome> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        fed.map(|queries| (queries, outcomes))
-    })?;
-    Ok(merge_outcomes(
-        label,
-        trace,
-        granularity,
-        queries,
-        outcomes,
-        track_pairs,
-    ))
-}
-
-/// Merge per-shard outcomes — windows and audits in fixed shard order; fault pairs element-wise per query, then folded with the
-/// failed-wins-over-degraded rule [`CostObserver`] applies per query —
-/// into the final report.
-fn merge_outcomes(
-    policy: String,
-    trace: String,
-    granularity: String,
-    queries: usize,
-    outcomes: Vec<ShardOutcome>,
-    track_pairs: bool,
-) -> ShardedOutcome {
-    let mut window = QueryWindow::default();
-    let (mut failed_queries, mut degraded_queries) = (0u64, 0u64);
-    if track_pairs {
-        for q in 0..queries {
-            let (mut failed, mut degraded) = (0u64, 0u64);
-            for outcome in &outcomes {
-                if let Some(&(f, d)) = outcome.pairs.get(q) {
-                    failed += u64::from(f);
-                    degraded += u64::from(d);
-                }
-            }
-            if failed > 0 {
-                failed_queries += 1;
-            } else if degraded > 0 {
-                degraded_queries += 1;
-            }
+        compiler.compile_into(&queries, &mut compiled);
+        if ready.send(Ok((compiled, queries))).is_err() {
+            return;
         }
-    }
-    let mut audits = Vec::new();
-    for outcome in outcomes {
-        window.merge(&outcome.window);
-        audits.extend(outcome.audit);
-    }
-    ShardedOutcome {
-        report: CostObserver::merged(
-            &policy,
-            &trace,
-            &granularity,
-            queries,
-            window,
-            failed_queries,
-            degraded_queries,
-        )
-        .into_report(),
-        audit: merge_audits(audits.into_iter()),
     }
 }
 
@@ -875,7 +704,6 @@ mod tests {
                 assert_eq!(compiled.first_query(), queries);
                 queries += compiled.queries();
                 slices.extend_from_slice(compiled.slices());
-                true
             })
             .unwrap();
             assert_eq!(queries, trace.len(), "chunk_size {chunk_size}");
@@ -910,33 +738,23 @@ mod tests {
     #[test]
     fn memory_source_is_exhaustive_and_sticky() {
         let (trace, objects) = setup(1, 10);
-        let mut compiler = ChunkCompiler::flat(&objects, &Uniform);
         let mut sizes = Vec::new();
-        let fed = Feed::Memory {
-            trace: &trace,
-            chunk: 3,
+        for (chunk, expect) in [(3, vec![3, 3, 3, 1]), (0, vec![1; 10])] {
+            let mut compiler = ChunkCompiler::flat(&objects, &Uniform);
+            sizes.clear();
+            // Zero-sized requests still make progress, one query a chunk.
+            let fed = Feed::Memory {
+                trace: &trace,
+                chunk,
+            }
+            .drive(&mut compiler, |chunk, queries| {
+                assert_eq!(chunk.queries(), queries.len());
+                sizes.push(queries.len());
+            })
+            .unwrap();
+            assert_eq!(fed, 10);
+            assert_eq!(sizes, expect);
         }
-        .drive(&mut compiler, |chunk, queries| {
-            assert_eq!(chunk.queries(), queries.len());
-            sizes.push(queries.len());
-            true
-        })
-        .unwrap();
-        assert_eq!(fed, 10);
-        assert_eq!(sizes, [3, 3, 3, 1]);
-        // Zero-sized requests still make progress, and stopping early
-        // counts only what was fed.
-        let mut compiler = ChunkCompiler::flat(&objects, &Uniform);
-        let fed = Feed::Memory {
-            trace: &trace,
-            chunk: 0,
-        }
-        .drive(&mut compiler, |chunk, _| {
-            assert_eq!(chunk.queries(), 1);
-            chunk.first_query() < 4
-        })
-        .unwrap();
-        assert_eq!(fed, 5);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! replay kernel to: [`ReplayEngine::replay`] for flat networks and
 //! [`replay_tiered`] for topologies. They are one per-query loop that
 //! resolves and prices every query as it goes, with no compilation,
-//! chunking, sharding, or report-only shortcut, and walks every slice
-//! through the tier walk (a flat network is one tier). A suite that
-//! compares a session against them therefore checks the compiled
-//! arenas, the chunk feeds, the shard fan-out and the kernel's in-place
-//! settle against the one decision→cost conversion.
+//! chunking, decode pipeline, or report-only shortcut, and walks every
+//! slice through the tier walk (a flat network is one tier). A suite
+//! that compares a session against them therefore checks the compiled
+//! arenas, the chunk feeds and the kernel's in-place settle against the
+//! one decision→cost conversion.
 
 #![allow(dead_code)]
 

@@ -30,17 +30,16 @@ fn shared_state_is_send_sync() {
     // Core replay state shared (read-only or partitioned) across workers.
     assert_send_sync::<CacheState>();
     assert_send_sync::<CompiledTrace>();
-    // The sharded replay path moves one per-shard policy slot into each
-    // worker thread and routes accesses by object-id range, so the
-    // container itself must cross the spawn boundary.
+    // A sharded policy binds as a tier policy, which sweeps share
+    // across worker threads.
     assert_send_sync::<ShardedPolicy>();
 }
 
 #[test]
 fn topology_stack_is_send_sync() {
     // A tiered sweep shares the topology and its compiled pricing tables
-    // read-only across every (policy × fraction) worker, and a sharded
-    // replay hands every compiled chunk to every shard worker.
+    // read-only across every (policy × fraction) worker, and a reader
+    // replay compiles chunks on its decode thread for the kernel's.
     assert_send_sync::<Topology>();
     assert_send_sync::<CompiledChunk>();
     assert_send_sync::<PerTierObserver>();

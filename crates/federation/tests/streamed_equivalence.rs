@@ -1,39 +1,47 @@
-//! Property-based proof that chunked (out-of-core) and sharded
-//! (parallel) replays are bit-identical to the uncompiled oracles.
+//! Property-based proof that chunked (out-of-core) and sharded replays
+//! are bit-identical to the uncompiled oracles.
 //!
 //! The replay kernel's whole value proposition rests on two claims:
 //!
 //! 1. **Chunking is invisible.** Replaying through the incremental
 //!    `ChunkCompiler` — any chunk size, in-memory source or disk
-//!    reader — produces the same [`CostReport`] as the uncompiled
-//!    engine (`ReplayEngine::replay`, or `replay_tiered` on a
-//!    topology), for every policy, network regime, and fault
-//!    configuration.
-//! 2. **Sharding is invisible.** Replaying a `ShardedPolicy` on one
-//!    worker thread per shard and merging the per-shard windows in
-//!    shard order produces the same report as driving the *same*
-//!    sharded policy sequentially through the uncompiled engine. (An
-//!    *unsharded* policy is not the reference: splitting the capacity
-//!    changes eviction behavior, deliberately — see
+//!    reader (decoded one chunk ahead on its own thread) — produces the
+//!    same [`CostReport`] as the uncompiled engine
+//!    (`ReplayEngine::replay`, or `replay_tiered` on a topology), for
+//!    every policy, network regime, and fault configuration.
+//! 2. **`.shards(..)` is `.policy(..)`.** A `ShardedPolicy` bound with
+//!    `.shards(..)` rides the same lane as any policy and produces the
+//!    same report as driving that sharded policy through the uncompiled
+//!    engine. (An *unsharded* policy is not the reference: splitting
+//!    the capacity changes eviction behavior, deliberately — see
 //!    `sharding_changes_answers_by_a_pinned_amount`.)
 //!
 //! These tests pin both claims across the full 13-policy roster, flat,
-//! two-tier and three-tier topologies, and fault-free / flaky replays.
+//! two-tier and three-tier topologies, and fault-free / flaky replays,
+//! plus the reader pipeline's edges: malformed lines on either side of
+//! a chunk seam, a header count that disagrees, CRLF and blank lines,
+//! observers and the per-shard audit on sharded replays.
 
 mod common;
 
 use byc_catalog::sdss::{self, SdssRelease};
 use byc_catalog::{Granularity, ObjectCatalog};
-use byc_core::policy::CachePolicy;
-use byc_core::shard::ShardPlan;
+use byc_core::access::Access;
+use byc_core::policy::{CachePolicy, Decision};
+use byc_core::shard::{ShardPlan, ShardedPolicy};
 use byc_federation::{
     build_policy, build_sharded, CostReport, DegradationPolicy, FaultModel, FlakyLinks,
     NetworkModel, PerServerMultipliers, PolicyKind, ReplaySession, RetryPolicy, Topology, Uniform,
 };
-use byc_types::Bytes;
+use byc_telemetry::{read_events, EventLogWriter, TelemetryObserver};
+use byc_types::{Bytes, Error, ObjectId};
+use byc_workload::io::{read_trace, write_trace};
 use byc_workload::{generate, Trace, TraceReader, WorkloadConfig, WorkloadStats};
 use common::Faults;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Every policy the roster can build, not just the headline lineup.
 const ALL_POLICIES: [PolicyKind; 13] = [
@@ -114,9 +122,9 @@ fn streamed_flat(
     session.run().unwrap().report
 }
 
-/// Sequential reference for sharding: the same `ShardedPolicy` driven
-/// single-threaded through the uncompiled oracle — it routes each access
-/// to its owning shard, so decisions match the parallel run exactly.
+/// Reference for sharding: the same `ShardedPolicy` driven through the
+/// uncompiled oracle — it routes each access to its owning shard, so
+/// decisions match the session's replay exactly.
 fn sharded_reference_flat(
     trace: &Trace,
     objects: &ObjectCatalog,
@@ -139,8 +147,8 @@ fn sharded_reference_flat(
     )
 }
 
-/// The parallel sharded path: one worker per shard, merged in shard
-/// order.
+/// The session's sharded path: the `ShardedPolicy` bound with
+/// `.shards(..)`.
 fn sharded_parallel_flat(
     trace: &Trace,
     objects: &ObjectCatalog,
@@ -198,8 +206,8 @@ proptest! {
         }
     }
 
-    /// Claim 2, flat: parallel sharded replay is bit-identical to the
-    /// same sharded policy driven sequentially, for every policy and
+    /// Claim 2, flat: a sharded session replay is bit-identical to the
+    /// same sharded policy through the oracle, for every policy and
     /// shard count, fault-free and under flaky links with retries.
     #[test]
     fn sharded_matches_sequential_sharded_reference(
@@ -234,8 +242,8 @@ proptest! {
 
     /// Both claims on two- and three-tier topologies, fault-free and
     /// under flaky links: chunked tiered replay matches the tiered
-    /// oracle, and parallel sharded tiers match the same per-tier
-    /// sharded policies driven sequentially through the oracle.
+    /// oracle, and sharded tiers match the same per-tier sharded
+    /// policies driven through the oracle.
     #[test]
     fn tiered_streaming_and_sharding_match_references(
         seed in any::<u64>(),
@@ -470,4 +478,282 @@ fn sharding_changes_answers_by_a_pinned_amount() {
     assert_eq!(unsharded.total_cost(), Bytes::new(4_812_600));
     assert_eq!(two.total_cost(), Bytes::new(16_195_600));
     assert_ne!(unsharded.total_cost(), two.total_cost());
+}
+
+/// A trace file past one default chunk (1024 queries), so the reader
+/// pipeline crosses a chunk seam, as a list of its lines (header first,
+/// no line endings).
+fn seam_trace() -> (Trace, ObjectCatalog, WorkloadStats, Vec<String>) {
+    let (trace, objects, stats) = smoke(41, 2, 1100);
+    let path = temp_path("seam-source");
+    write_trace(&trace, &path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let lines = text.lines().map(str::to_string).collect();
+    (trace, objects, stats, lines)
+}
+
+/// A temp file path no other test in this process uses.
+fn temp_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "byc-streamed-eq-{tag}-{}-{n}.jsonl",
+        std::process::id()
+    ))
+}
+
+/// Write `text` to a fresh temp file named by `tag`.
+fn write_file(tag: &str, text: &str) -> PathBuf {
+    let path = temp_path(tag);
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// GDS at 25% straight off `path`, at the session's default chunk size.
+fn replay_file(
+    path: &Path,
+    objects: &ObjectCatalog,
+    stats: &WorkloadStats,
+) -> byc_types::Result<CostReport> {
+    let capacity = objects.total_size().scale(0.25);
+    let mut policy = build_policy(PolicyKind::Gds, capacity, &stats.demands, 5);
+    let mut reader = TraceReader::open(path)?;
+    ReplaySession::from_reader(&mut reader, objects)
+        .policy(policy.as_mut())
+        .unaudited()
+        .run()
+        .map(|replay| replay.report)
+}
+
+/// A reader replay fails with exactly the error, line number included,
+/// that `read_trace` raises on the same file: a malformed line on the
+/// first query, on both sides of the first chunk seam (queries 1024 and
+/// 1025), and on the last line, and a header count that disagrees at
+/// end of file in either direction.
+#[test]
+fn pipeline_errors_match_read_trace() {
+    let (_, objects, stats, lines) = seam_trace();
+    let queries = lines.len() - 1;
+    let mut cases: Vec<(String, Vec<String>, Option<usize>)> = Vec::new();
+    for query in [1, 1024, 1025, queries] {
+        // Query `q` (1-based) sits on line `q + 1`, below the header.
+        let mut bad = lines.clone();
+        bad[query] = r#"{"id":7,"sql":"#.to_string();
+        cases.push((format!("query {query}"), bad, Some(query + 1)));
+    }
+    for promised in [queries - 1, queries + 1] {
+        let mut bad = lines.clone();
+        let count = format!("\"query_count\":{queries}");
+        assert!(bad[0].contains(&count), "{}", bad[0]);
+        bad[0] = bad[0].replace(&count, &format!("\"query_count\":{promised}"));
+        cases.push((format!("header count {promised}"), bad, None));
+    }
+    for (case, bad, line) in cases {
+        let path = write_file("bad", &(bad.join("\n") + "\n"));
+        let expected = read_trace(&path).unwrap_err();
+        let replayed = replay_file(&path, &objects, &stats).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(replayed, Error::TraceFormat(_)),
+            "{case}: {replayed:?}"
+        );
+        assert_eq!(expected.to_string(), replayed.to_string(), "{case}");
+        if let Some(line) = line {
+            let at = format!("line {line}:");
+            assert!(replayed.to_string().contains(&at), "{case}: {replayed}");
+        }
+    }
+}
+
+/// CRLF line endings and blank or whitespace-only lines — at the top,
+/// on the chunk seam and at the end — replay bit-identically to the
+/// plain file and to the resident trace.
+#[test]
+fn crlf_and_blank_lines_replay_identically() {
+    let (trace, objects, stats, lines) = seam_trace();
+    let reference = {
+        let capacity = objects.total_size().scale(0.25);
+        let mut policy = build_policy(PolicyKind::Gds, capacity, &stats.demands, 5);
+        ReplaySession::new(&trace, &objects)
+            .policy(policy.as_mut())
+            .unaudited()
+            .run()
+            .unwrap()
+            .report
+    };
+    let crlf = lines.join("\r\n") + "\r\n";
+    let mut spaced = Vec::new();
+    for (at, line) in lines.iter().enumerate() {
+        spaced.push(line.clone());
+        if matches!(at, 0 | 1024 | 1025) {
+            spaced.push(String::new());
+            spaced.push(" \t ".to_string());
+        }
+    }
+    let spaced = spaced.join("\n") + "\n\n  \n";
+    for (case, text) in [
+        ("lf", lines.join("\n") + "\n"),
+        ("crlf", crlf),
+        ("blank lines", spaced),
+    ] {
+        let path = write_file("endings", &text);
+        let report = replay_file(&path, &objects, &stats);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(reference, report.unwrap(), "{case}");
+    }
+}
+
+/// Whole-stream observers ride a sharded replay: an unsampled event
+/// log of a sharded three-shard replay off the reader sums to exactly
+/// the replay's report.
+#[test]
+fn sharded_event_log_reconciles_with_the_report() {
+    let (trace, objects, stats) = smoke(19, 2, 300);
+    let source = temp_path("sharded-source");
+    write_trace(&trace, &source).unwrap();
+    let log_path = temp_path("sharded-events");
+    let network = PerServerMultipliers::new(vec![1.0, 2.0]).unwrap();
+    let capacity = objects.total_size().scale(0.25);
+    let plan = ShardPlan::new(3, objects.len());
+    let mut sharded = build_sharded(PolicyKind::Gds, plan, capacity, &stats.demands, 19).unwrap();
+    let writer = EventLogWriter::create(&log_path, "GDS").unwrap();
+    let mut telemetry = TelemetryObserver::new("GDS").with_event_log(writer);
+    let mut reader = TraceReader::open(&source).unwrap();
+    let replay = ReplaySession::from_reader(&mut reader, &objects)
+        .shards(&mut sharded)
+        .network(&network)
+        .observe(&mut telemetry)
+        .unaudited()
+        .run()
+        .unwrap();
+    let (metrics, io) = telemetry.into_parts();
+    io.unwrap();
+    let log = read_events(&std::fs::read_to_string(&log_path).unwrap()).unwrap();
+    std::fs::remove_file(&source).ok();
+    std::fs::remove_file(&log_path).ok();
+
+    let report = &replay.report;
+    let totals = log.totals();
+    assert_eq!(totals.bypass_cost, report.bypass_cost, "D_S");
+    assert_eq!(totals.fetch_cost, report.fetch_cost, "D_L");
+    assert_eq!(totals.cache_served, report.cache_served, "D_C");
+    assert_eq!(totals.delivered, report.sequence_cost, "D_A");
+    assert_eq!(totals.wan_cost(), report.total_cost());
+    assert_eq!(totals.hits, report.hits);
+    assert_eq!(totals.bypasses, report.bypasses);
+    assert_eq!(totals.loads, report.loads);
+    assert_eq!(totals.evictions, report.evictions);
+    assert_eq!(log.events.len() as u64, metrics.accesses);
+    assert_eq!(metrics.queries, report.queries as u64);
+    // Observing changed nothing: the report is the oracle's.
+    let expected = sharded_reference_flat(
+        &trace,
+        &objects,
+        &stats,
+        PolicyKind::Gds,
+        19,
+        3,
+        Some(&network),
+        None,
+    );
+    assert_eq!(&expected, report);
+}
+
+/// A test policy that loads every miss and never evicts, whatever its
+/// capacity: it overflows its capacity as soon as its loads outgrow it.
+struct Hoarder {
+    capacity: Bytes,
+    cached: BTreeMap<ObjectId, Bytes>,
+    used: Bytes,
+}
+
+impl Hoarder {
+    fn new(capacity: Bytes) -> Self {
+        Hoarder {
+            capacity,
+            cached: BTreeMap::new(),
+            used: Bytes::ZERO,
+        }
+    }
+}
+
+impl CachePolicy for Hoarder {
+    fn name(&self) -> &'static str {
+        "Hoarder"
+    }
+
+    fn on_access(&mut self, access: &Access) -> Decision {
+        if self.cached.contains_key(&access.object) {
+            return Decision::Hit;
+        }
+        self.cached.insert(access.object, access.size);
+        self.used += access.size;
+        Decision::load()
+    }
+
+    fn contains(&self, object: ObjectId) -> bool {
+        self.cached.contains_key(&object)
+    }
+
+    fn used(&self) -> Bytes {
+        self.used
+    }
+
+    fn capacity(&self) -> Bytes {
+        self.capacity
+    }
+
+    fn cached_objects(&self) -> Vec<ObjectId> {
+        self.cached.keys().copied().collect()
+    }
+}
+
+/// The audit of a sharded replay keeps one shadow model per shard,
+/// each held to its own shard's capacity: a shard that overflows its
+/// own share is reported even while the sharded policy as a whole
+/// stays under its total capacity.
+#[test]
+fn per_shard_audit_catches_a_shard_over_its_share() {
+    let (trace, objects, _) = smoke(29, 1, 200);
+    let plan = ShardPlan::new(2, objects.len());
+    // Shard 0 may hold one byte; shard 1 the whole database.
+    let shards: Vec<Box<dyn CachePolicy + Send + Sync>> = vec![
+        Box::new(Hoarder::new(Bytes::new(1))),
+        Box::new(Hoarder::new(objects.total_size())),
+    ];
+    let mut sharded = ShardedPolicy::new(plan, shards).unwrap();
+    let replay = ReplaySession::new(&trace, &objects)
+        .shards(&mut sharded)
+        .audited()
+        .run()
+        .unwrap();
+    let audit = replay.audit.unwrap();
+    let shard0_loads = sharded.shards()[0].cached_objects().len() as u64;
+    assert!(shard0_loads > 0, "the trace never touched shard 0");
+    assert!(sharded.shards()[1].used() > Bytes::ZERO);
+    assert!(
+        sharded.used() <= sharded.capacity(),
+        "the total stays under capacity"
+    );
+    // Every shard-0 load overflows shard 0's one byte, and nothing else
+    // is wrong: shard 1 fits, and both agree with their shadow models.
+    assert_eq!(
+        audit.violation_count, shard0_loads,
+        "{:?}",
+        audit.violations
+    );
+    assert!(
+        audit
+            .violations
+            .iter()
+            .all(|v| v.contains("Hoarder") && v.contains("overflows capacity 1")),
+        "{:?}",
+        audit.violations
+    );
+    assert_eq!(audit.loads, replay.report.loads);
+    assert_eq!(
+        audit.accesses,
+        replay.report.hits + replay.report.loads + replay.report.bypasses
+    );
 }

@@ -11,10 +11,9 @@
 use crate::events::{EventLogWriter, EventRecord};
 use crate::metrics::{ObjectClass, PolicyMetrics, SeriesKey};
 use byc_core::policy::CachePolicy;
+use byc_core::DenseMap;
 use byc_federation::{CostEvent, Observer};
-use byc_types::ObjectId;
 use byc_workload::TraceQuery;
-use std::collections::BTreeMap;
 
 /// Knobs of a [`TelemetryObserver`]. All deterministic: there is no
 /// time-based sampling anywhere, only counts.
@@ -148,8 +147,9 @@ impl PhaseProfile {
 pub struct TelemetryObserver {
     config: TelemetryConfig,
     metrics: PolicyMetrics,
-    /// Query ordinal of each object's previous access (reuse gaps).
-    last_seen: BTreeMap<ObjectId, u64>,
+    /// Query ordinal of each object's previous access (reuse gaps),
+    /// indexed by the dense object id.
+    last_seen: DenseMap<u64>,
     slices_this_query: u64,
     decisions_this_query: u64,
     evictions_this_query: u64,
@@ -187,7 +187,7 @@ impl TelemetryObserver {
         TelemetryObserver {
             config,
             metrics,
-            last_seen: BTreeMap::new(),
+            last_seen: DenseMap::new(),
             slices_this_query: 0,
             decisions_this_query: 0,
             evictions_this_query: 0,
